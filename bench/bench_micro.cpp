@@ -273,33 +273,63 @@ BENCHMARK_CAPTURE(BM_LineRegionPopcounts, sse2, LineBackendKind::Sse2);
 BENCHMARK_CAPTURE(BM_LineRegionPopcounts, avx2, LineBackendKind::Avx2);
 
 void
-BM_LineXorPopcountBatch(benchmark::State &state,
-                        LineBackendKind backend)
+BM_LineSelectByWordMask(benchmark::State &state)
+{
+    // Every backend shares one select, so one cell covers them all.
+    const LineKernelOps &ops = lineKernels();
+    Rng rng(9);
+    CacheLine lctr, tctr, pad;
+    randomLine(rng, lctr);
+    randomLine(rng, tctr);
+    uint64_t mask = rng.next();
+    for (auto _ : state) {
+        // DEUCE's pad select at its 2-byte words.
+        ops.selectByWordMask(lctr, tctr, mask, 16, pad);
+        benchmark::DoNotOptimize(pad);
+        mask = mask * 0x9e3779b97f4a7c15ULL + 1;
+    }
+    state.SetBytesProcessed(state.iterations() * 2 * 64);
+}
+BENCHMARK(BM_LineSelectByWordMask);
+
+void
+BM_LineAccumulateFlipsBatch(benchmark::State &state,
+                            LineBackendKind backend)
 {
     if (skipUnavailable(state, backend)) {
         return;
     }
-    constexpr std::size_t kLines = 64;
+    const auto lines = static_cast<std::size_t>(state.range(0));
     const LineKernelOps &ops = *lineBackendOps(backend);
-    Rng rng(9);
-    std::vector<CacheLine> a(kLines), b(kLines);
-    for (std::size_t i = 0; i < kLines; ++i) {
-        randomLine(rng, a[i]);
-        randomLine(rng, b[i]);
+    Rng rng(10);
+    std::vector<CacheLine> diffs(lines);
+    for (CacheLine &d : diffs) {
+        randomLine(rng, d); // half the bits flip, like encrypted data
     }
-    uint32_t out[kLines];
+    std::vector<uint64_t> wear(CacheLine::kBits);
     for (auto _ : state) {
-        ops.xorPopcountBatch(a.data(), b.data(), out, kLines);
-        benchmark::DoNotOptimize(out);
+        ops.accumulateFlipsBatch(diffs.data(), lines, wear.data());
+        benchmark::DoNotOptimize(wear.data());
+        benchmark::ClobberMemory();
     }
-    state.SetBytesProcessed(state.iterations() * kLines * 2 * 64);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(lines));
 }
-BENCHMARK_CAPTURE(BM_LineXorPopcountBatch, scalar,
-                  LineBackendKind::Scalar);
-BENCHMARK_CAPTURE(BM_LineXorPopcountBatch, sse2,
-                  LineBackendKind::Sse2);
-BENCHMARK_CAPTURE(BM_LineXorPopcountBatch, avx2,
-                  LineBackendKind::Avx2);
+BENCHMARK_CAPTURE(BM_LineAccumulateFlipsBatch, scalar,
+                  LineBackendKind::Scalar)
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(64);
+BENCHMARK_CAPTURE(BM_LineAccumulateFlipsBatch, sse2,
+                  LineBackendKind::Sse2)
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(64);
+BENCHMARK_CAPTURE(BM_LineAccumulateFlipsBatch, avx2,
+                  LineBackendKind::Avx2)
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(64);
 
 void
 BM_CacheAccess(benchmark::State &state)

@@ -7,6 +7,7 @@
 
 #include <bit>
 #include <cstdio>
+#include <cstring>
 
 #include "common/line_kernels.hh"
 #include "common/logging.hh"
@@ -137,13 +138,14 @@ CacheLine::rotr(unsigned amount) const
 CacheLine
 CacheLine::fromBytes(const uint8_t *src)
 {
+    // Byte i of the line is bits 8i..8i+7: the limbs' in-memory image
+    // on a little-endian host, so only big-endian hosts swap.
     CacheLine line;
-    for (unsigned i = 0; i < kLimbs; ++i) {
-        uint64_t limb = 0;
-        for (unsigned b = 0; b < 8; ++b) {
-            limb |= static_cast<uint64_t>(src[i * 8 + b]) << (b * 8);
+    std::memcpy(line.limbs_.data(), src, kBytes);
+    if constexpr (std::endian::native == std::endian::big) {
+        for (uint64_t &limb : line.limbs_) {
+            limb = __builtin_bswap64(limb);
         }
-        line.limbs_[i] = limb;
     }
     return line;
 }
@@ -151,10 +153,13 @@ CacheLine::fromBytes(const uint8_t *src)
 void
 CacheLine::toBytes(uint8_t *dst) const
 {
-    for (unsigned i = 0; i < kLimbs; ++i) {
-        for (unsigned b = 0; b < 8; ++b) {
-            dst[i * 8 + b] = static_cast<uint8_t>(limbs_[i] >> (b * 8));
+    if constexpr (std::endian::native == std::endian::big) {
+        for (unsigned i = 0; i < kLimbs; ++i) {
+            uint64_t limb = __builtin_bswap64(limbs_[i]);
+            std::memcpy(dst + i * 8, &limb, 8);
         }
+    } else {
+        std::memcpy(dst, limbs_.data(), kBytes);
     }
 }
 

@@ -7,6 +7,7 @@
 
 #include "common/line_kernels.hh"
 
+#include <array>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
@@ -165,15 +166,6 @@ scalarAccumulateFlips(const CacheLine &diff, uint64_t *counters)
 }
 
 void
-scalarXorPopcountBatch(const CacheLine *a, const CacheLine *b,
-                       uint32_t *out, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        out[i] = scalarXorPopcount(a[i], b[i]);
-    }
-}
-
-void
 scalarPopcountBatch(const CacheLine *lines, uint32_t *out,
                     std::size_t n)
 {
@@ -186,9 +178,8 @@ void
 scalarAccumulateFlipsBatch(const CacheLine *diffs, std::size_t n,
                            uint64_t *counters)
 {
-    // The reference is the naive per-line scan — what the batched
-    // write path must stay bit-identical to. SIMD backends route
-    // through detail::positionalFlipAccumulate instead.
+    // The reference is the naive per-line scan that every backend's
+    // positional popcount must stay bit-identical to.
     for (std::size_t i = 0; i < n; ++i) {
         scalarAccumulateFlips(diffs[i], counters);
     }
@@ -203,8 +194,7 @@ constexpr LineKernelOps kScalarOps = {
     &scalarRegionPopcounts,
     &scalarMaskedXorInto,
     &scalarAndNotInto,
-    &scalarAccumulateFlips,
-    &scalarXorPopcountBatch,
+    &detail::selectWords,
     &scalarPopcountBatch,
     &scalarAccumulateFlipsBatch,
     &detail::mlcCellDiffExpand,
@@ -262,6 +252,105 @@ mlcTransitionAccumulate(const CacheLine &before, const CacheLine &after,
                     std::popcount(om & nm));
             }
         }
+    }
+}
+
+namespace
+{
+
+/**
+ * Limb masks for a W-bit-word select, indexed by the limb's 64 / W
+ * word-mask bits: entry m has all W bits of word j set iff bit j of
+ * m is.
+ */
+template <unsigned W>
+constexpr std::array<uint64_t, (1u << (64 / W))>
+limbSelectMasks()
+{
+    constexpr uint64_t kWord =
+        W == 64 ? ~uint64_t{0} : (uint64_t{1} << W) - 1;
+    std::array<uint64_t, (1u << (64 / W))> masks{};
+    for (unsigned m = 0; m < masks.size(); ++m) {
+        for (unsigned j = 0; j < 64 / W; ++j) {
+            if ((m >> j) & 1) {
+                masks[m] |= kWord << (j * W);
+            }
+        }
+    }
+    return masks;
+}
+
+template <unsigned W>
+inline void
+selectWordsOf(const CacheLine &a, const CacheLine &b, uint64_t word_mask,
+              CacheLine &out)
+{
+    static constexpr auto kMasks = limbSelectMasks<W>();
+    constexpr unsigned kPerLimb = 64 / W;
+    for (unsigned i = 0; i < CacheLine::kLimbs; ++i) {
+        uint64_t m =
+            kMasks[(word_mask >> (i * kPerLimb)) & (kMasks.size() - 1)];
+        out.limbs()[i] = (a.limbs()[i] & m) | (b.limbs()[i] & ~m);
+    }
+}
+
+} // namespace
+
+void
+selectWords(const CacheLine &a, const CacheLine &b, uint64_t word_mask,
+            unsigned word_bits, CacheLine &out)
+{
+    // Limb i of out depends only on limb i of a and b, so writing it
+    // right after reading them is safe when out aliases an input.
+    switch (word_bits) {
+      case 8:
+        selectWordsOf<8>(a, b, word_mask, out);
+        return;
+      case 16:
+        selectWordsOf<16>(a, b, word_mask, out);
+        return;
+      case 32:
+        selectWordsOf<32>(a, b, word_mask, out);
+        return;
+      case 64:
+        selectWordsOf<64>(a, b, word_mask, out);
+        return;
+      default:
+        deuce_panic("selectByWordMask: word_bits must be 8, 16, 32 "
+                    "or 64");
+    }
+}
+
+void
+positionalFlipAccumulate(const CacheLine *diffs, std::size_t n,
+                         uint64_t *counters)
+{
+    // Positional popcount in 64-bit SWAR lanes: byte b of acc[p][l]
+    // counts bit p of byte b of limb l, i.e. line bit 64l + 8b + p.
+    // Shifting a limb right by p and masking the low bit of every
+    // byte lands eight of those bits at once. A byte counter holds
+    // 255 lines, so flush before it can wrap.
+    constexpr uint64_t kLowBits = 0x0101010101010101ULL;
+    while (n > 0) {
+        std::size_t g = n < 255 ? n : 255;
+        uint64_t acc[8][CacheLine::kLimbs] = {};
+        for (std::size_t i = 0; i < g; ++i) {
+            for (unsigned p = 0; p < 8; ++p) {
+                for (unsigned l = 0; l < CacheLine::kLimbs; ++l) {
+                    acc[p][l] += (diffs[i].limbs()[l] >> p) & kLowBits;
+                }
+            }
+        }
+        for (unsigned l = 0; l < CacheLine::kLimbs; ++l) {
+            for (unsigned b = 0; b < 8; ++b) {
+                for (unsigned p = 0; p < 8; ++p) {
+                    counters[64 * l + 8 * b + p] +=
+                        (acc[p][l] >> (8 * b)) & 0xff;
+                }
+            }
+        }
+        diffs += g;
+        n -= g;
     }
 }
 
@@ -425,51 +514,6 @@ defaultLineBackend()
 
 namespace detail
 {
-
-void
-positionalFlipAccumulate(const CacheLine *diffs, std::size_t n,
-                         uint64_t *counters)
-{
-    // Carry-save addition: fold up to seven diffs into ones/twos/
-    // fours bit-planes per limb with full-adder chains, then scatter
-    // each plane once with weight 1/2/4. Per-bit counts within a
-    // group never exceed 7, so three planes are exact, and counter
-    // addition commutes, so the result matches n sequential
-    // accumulateFlips() scans bit for bit.
-    while (n > 0) {
-        std::size_t g = n < 7 ? n : 7;
-        uint64_t ones[CacheLine::kLimbs] = {};
-        uint64_t twos[CacheLine::kLimbs] = {};
-        uint64_t fours[CacheLine::kLimbs] = {};
-        for (std::size_t i = 0; i < g; ++i) {
-            for (unsigned l = 0; l < CacheLine::kLimbs; ++l) {
-                uint64_t x = diffs[i].limbs()[l];
-                uint64_t t = ones[l] & x;
-                ones[l] ^= x;
-                uint64_t c = twos[l] & t;
-                twos[l] ^= t;
-                fours[l] |= c;
-            }
-        }
-        auto scatter = [counters](const uint64_t *plane,
-                                  uint64_t weight) {
-            for (unsigned l = 0; l < CacheLine::kLimbs; ++l) {
-                uint64_t bits = plane[l];
-                while (bits) {
-                    unsigned bit = static_cast<unsigned>(
-                        std::countr_zero(bits));
-                    counters[l * 64 + bit] += weight;
-                    bits &= bits - 1;
-                }
-            }
-        };
-        scatter(ones, 1);
-        scatter(twos, 2);
-        scatter(fours, 4);
-        diffs += g;
-        n -= g;
-    }
-}
 
 std::atomic<const LineKernelOps *> g_activeLineOps{nullptr};
 

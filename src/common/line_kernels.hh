@@ -5,8 +5,9 @@
  * through.
  *
  * The library ships up to four bit-identical implementations of the
- * fused line primitives (XOR+popcount, per-word diff masks, per-region
- * flip counts, wear accumulation, cross-line batch sweeps):
+ * fused line primitives (XOR+popcount, per-word diff masks, per-word
+ * select, per-region flip counts, wear accumulation, cross-line batch
+ * sweeps):
  *
  *  - "scalar"  portable limb-at-a-time reference, extracted from the
  *              historical CacheLine/FNW/DEUCE loops (line_kernels.cc)
@@ -108,19 +109,15 @@ struct LineKernelOps
                            CacheLine &out);
 
     /**
-     * Wear accumulation: counters[i] += 1 for every set bit i of
-     * @p diff. @p counters must hold CacheLine::kBits entries. The
-     * strategy (sparse bit-scan vs dense add) is the backend's
-     * choice; the resulting counter values are identical.
+     * Per-word 2:1 select — the mux DEUCE uses to pick the LCTR or
+     * TCTR pad of every word (Figure 7): word w of @p out is word w
+     * of @p a when bit w of @p word_mask is set, else word w of @p b.
+     * @p word_bits is 8, 16, 32 or 64; mask bits at or above
+     * 512 / @p word_bits are ignored. @p out may alias @p a or @p b.
      */
-    void (*accumulateFlips)(const CacheLine &diff, uint64_t *counters);
-
-    /**
-     * Batched multi-line diff for sweep cells: out[i] =
-     * popcount(a[i] ^ b[i]) for i in [0, n).
-     */
-    void (*xorPopcountBatch)(const CacheLine *a, const CacheLine *b,
-                             uint32_t *out, std::size_t n);
+    void (*selectByWordMask)(const CacheLine &a, const CacheLine &b,
+                             uint64_t word_mask, unsigned word_bits,
+                             CacheLine &out);
 
     /**
      * Batched per-line popcount for write bursts: out[i] =
@@ -130,11 +127,11 @@ struct LineKernelOps
                           std::size_t n);
 
     /**
-     * Cross-line wear accumulation: counters[i] += number of diffs
-     * among @p diffs with bit i set — exactly n accumulateFlips()
-     * calls folded into one pass so the 512 wear counters are walked
-     * once per burst, not once per line. @p counters must hold
-     * CacheLine::kBits entries.
+     * Wear accumulation: counters[i] += number of diffs among
+     * @p diffs with bit i set. @p counters must hold CacheLine::kBits
+     * entries. The scalar reference scans set bits line by line; the
+     * SIMD backends count positions in byte lanes and walk the 512
+     * wear counters once per 255 lines, not once per line.
      */
     void (*accumulateFlipsBatch)(const CacheLine *diffs, std::size_t n,
                                  uint64_t *counters);
@@ -161,6 +158,16 @@ struct LineKernelOps
     void (*mlcTransitionCounts)(const CacheLine &before,
                                 const CacheLine &after,
                                 uint64_t *counts);
+
+    /**
+     * Single-line wear accumulation: accumulateFlipsBatch() with
+     * n = 1, so one kernel per backend lands all wear.
+     */
+    void
+    accumulateFlips(const CacheLine &diff, uint64_t *counters) const
+    {
+        accumulateFlipsBatch(&diff, 1, counters);
+    }
 };
 
 /** True when the SSE2 TU was compiled for a target with SSE2. */
@@ -254,13 +261,20 @@ extern std::atomic<const LineKernelOps *> g_activeLineOps;
 const LineKernelOps &resolveActiveLineOps();
 
 /**
- * Shared carry-save positional flip accumulator: the portable core
- * of every SIMD backend's accumulateFlipsBatch. Groups of up to
- * seven diffs are folded into ones/twos/fours bit-planes with
- * full-adder chains, then each plane is scattered into @p counters
- * with weight 1/2/4 — one sparse scan per plane instead of one per
- * line. Bit-identical to n sequential accumulateFlips() calls
- * because counter addition commutes.
+ * Shared per-word select (line_kernels.cc): each limb's word-mask
+ * bits index a table of widened limb masks, then every limb is one
+ * AND-OR blend. Every backend's table points here; SSE2 and AVX2
+ * lane-mask versions were no faster end to end.
+ */
+void selectWords(const CacheLine &a, const CacheLine &b,
+                 uint64_t word_mask, unsigned word_bits, CacheLine &out);
+
+/**
+ * Portable positional popcount (line_kernels.cc) for backends without
+ * their own accumulateFlipsBatch: 512 byte counters packed eight to a
+ * 64-bit word, where one shift and mask of a limb adds one bit
+ * position of all eight of its bytes, flushed into @p counters once
+ * per 255 lines.
  */
 void positionalFlipAccumulate(const CacheLine *diffs, std::size_t n,
                               uint64_t *counters);

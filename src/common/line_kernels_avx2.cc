@@ -2,10 +2,12 @@
  * @file
  * AVX2 line-kernel backend: the whole 512-bit line in two 256-bit
  * registers, per-byte popcounts via the VPSHUFB nibble LUT (Mula's
- * method) summed with VPSADBW. This is the only TU compiled with
- * -mavx2 (no global -march change): the backend is gated at runtime
- * by CPUID, so the rest of the binary must stay runnable on hosts
- * without AVX2.
+ * method) summed with VPSADBW, and a byte-lane positional popcount
+ * for wear (the word select is the shared one: a VPBLENDVB version
+ * was faster alone but no faster end to end). This is the only TU
+ * compiled with -mavx2 (no global -march change): the backend is
+ * gated at runtime by CPUID, so the rest of the binary must stay
+ * runnable on hosts without AVX2.
  */
 
 #include "common/line_kernels.hh"
@@ -13,6 +15,7 @@
 #include <immintrin.h>
 
 #include <bit>
+#include <cstring>
 
 #include "common/logging.hh"
 
@@ -235,33 +238,22 @@ avx2AndNotInto(const CacheLine &a, const CacheLine &b, CacheLine &out)
     return laneSum(acc);
 }
 
-void
-avx2AccumulateFlips(const CacheLine &diff, uint64_t *counters)
+/**
+ * Thirty-two 0x00/0xff byte lanes, lane k set iff bit k of @p bits
+ * is: VPSHUFB spreads byte k / 8 of the broadcast to lane k (it stays
+ * within each 128-bit lane, so each lane names its own two bytes),
+ * then each lane keeps its own bit and compares.
+ */
+inline __m256i
+byteLaneMask(uint32_t bits)
 {
-    // Sparse diffs scan set bits; dense diffs use a branch-free
-    // per-position add the compiler vectorizes (VPSRLVQ is available
-    // in this TU). Addition commutes, so the counter values are
-    // identical either way.
-    if (avx2Popcount(diff) < 128) {
-        scalarLineKernelOps()->accumulateFlips(diff, counters);
-        return;
-    }
-    for (unsigned limb = 0; limb < CacheLine::kLimbs; ++limb) {
-        uint64_t bits = diff.limbs()[limb];
-        uint64_t *base = counters + limb * 64;
-        for (unsigned j = 0; j < 64; ++j) {
-            base[j] += (bits >> j) & 1;
-        }
-    }
-}
-
-void
-avx2XorPopcountBatch(const CacheLine *a, const CacheLine *b,
-                     uint32_t *out, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        out[i] = avx2XorPopcount(a[i], b[i]);
-    }
+    const __m256i spread = _mm256_setr_epi8(
+        0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1,
+        2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3);
+    const __m256i bit = _mm256_set1_epi64x(0x8040201008040201LL);
+    __m256i v = _mm256_shuffle_epi8(
+        _mm256_set1_epi32(static_cast<int>(bits)), spread);
+    return _mm256_cmpeq_epi8(_mm256_and_si256(v, bit), bit);
 }
 
 void
@@ -272,12 +264,46 @@ avx2PopcountBatch(const CacheLine *lines, uint32_t *out, std::size_t n)
     }
 }
 
+/** counters[k] += byte k of @p acc, for k in [0, 32). */
+inline void
+flushByteCounters(__m256i acc, uint64_t *counters)
+{
+    alignas(32) uint8_t bytes[32];
+    _mm256_store_si256(reinterpret_cast<__m256i *>(bytes), acc);
+    for (unsigned q = 0; q < 32; q += 4) {
+        uint32_t quad;
+        std::memcpy(&quad, bytes + q, sizeof(quad));
+        __m256i wide = _mm256_cvtepu8_epi64(
+            _mm_cvtsi32_si128(static_cast<int>(quad)));
+        __m256i *dst = reinterpret_cast<__m256i *>(counters + q);
+        _mm256_storeu_si256(
+            dst, _mm256_add_epi64(_mm256_loadu_si256(dst), wide));
+    }
+}
+
 void
 avx2AccumulateFlipsBatch(const CacheLine *diffs, std::size_t n,
                          uint64_t *counters)
 {
-    // Carry-save planes + weighted scatter (shared portable core).
-    detail::positionalFlipAccumulate(diffs, n, counters);
+    // Positional popcount (Klarqvist, Mula & Lemire): walk the line
+    // in 32-bit chunks, and for each chunk run down the batch with
+    // one register of 32 byte counters. Mask lanes are 0xff, so
+    // subtracting one adds one; a byte counter holds 255 lines, then
+    // it is widened into counters.
+    while (n > 0) {
+        std::size_t g = n < 255 ? n : 255;
+        for (unsigned c = 0; c < CacheLine::kBits / 32; ++c) {
+            __m256i acc = _mm256_setzero_si256();
+            for (std::size_t i = 0; i < g; ++i) {
+                acc = _mm256_sub_epi8(
+                    acc, byteLaneMask(static_cast<uint32_t>(
+                             diffs[i].limbs()[c / 2] >> (32 * (c % 2)))));
+            }
+            flushByteCounters(acc, counters + 32 * c);
+        }
+        diffs += g;
+        n -= g;
+    }
 }
 
 constexpr LineKernelOps kAvx2Ops = {
@@ -289,8 +315,7 @@ constexpr LineKernelOps kAvx2Ops = {
     &avx2RegionPopcounts,
     &avx2MaskedXorInto,
     &avx2AndNotInto,
-    &avx2AccumulateFlips,
-    &avx2XorPopcountBatch,
+    &detail::selectWords,
     &avx2PopcountBatch,
     &avx2AccumulateFlipsBatch,
     &detail::mlcCellDiffExpand,

@@ -7,9 +7,10 @@
  *
  * The vector wins are the byte-popcount kernels (CNT + pairwise
  * widening adds); sub-byte region work delegates to the scalar
- * reference, exactly as the SSE2 backend does. The cross-line
- * accumulateFlipsBatch routes through the shared carry-save plane
- * core. All results are bit-identical to the scalar backend.
+ * reference, exactly as the SSE2 backend does. selectByWordMask and
+ * accumulateFlipsBatch use the shared portable kernels (the per-word
+ * select and the 64-bit-lane positional popcount). All results are
+ * bit-identical to the scalar backend.
  */
 
 #include "common/line_kernels.hh"
@@ -121,47 +122,12 @@ neonAndNotInto(const CacheLine &a, const CacheLine &b, CacheLine &out)
 }
 
 void
-neonAccumulateFlips(const CacheLine &diff, uint64_t *counters)
-{
-    // Sparse diffs (the common case) scan set bits; dense diffs add
-    // every position unconditionally — same threshold as SSE2/AVX2.
-    if (neonPopcount(diff) < 128) {
-        scalarLineKernelOps()->accumulateFlips(diff, counters);
-        return;
-    }
-    for (unsigned limb = 0; limb < CacheLine::kLimbs; ++limb) {
-        uint64_t bits = diff.limbs()[limb];
-        uint64_t *base = counters + limb * 64;
-        for (unsigned j = 0; j < 64; ++j) {
-            base[j] += (bits >> j) & 1;
-        }
-    }
-}
-
-void
-neonXorPopcountBatch(const CacheLine *a, const CacheLine *b,
-                     uint32_t *out, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        out[i] = neonXorPopcount(a[i], b[i]);
-    }
-}
-
-void
 neonPopcountBatch(const CacheLine *lines, uint32_t *out,
                   std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i) {
         out[i] = neonPopcount(lines[i]);
     }
-}
-
-void
-neonAccumulateFlipsBatch(const CacheLine *diffs, std::size_t n,
-                         uint64_t *counters)
-{
-    // Carry-save planes + weighted scatter (shared portable core).
-    detail::positionalFlipAccumulate(diffs, n, counters);
 }
 
 constexpr LineKernelOps kNeonOps = {
@@ -173,10 +139,9 @@ constexpr LineKernelOps kNeonOps = {
     &neonRegionPopcounts,
     &neonMaskedXorInto,
     &neonAndNotInto,
-    &neonAccumulateFlips,
-    &neonXorPopcountBatch,
+    &detail::selectWords,
     &neonPopcountBatch,
-    &neonAccumulateFlipsBatch,
+    &detail::positionalFlipAccumulate,
     &detail::mlcCellDiffExpand,
     &detail::mlcTransitionAccumulate,
 };

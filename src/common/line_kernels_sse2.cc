@@ -2,9 +2,11 @@
  * @file
  * SSE2 line-kernel backend: two limbs per 128-bit register, SWAR
  * popcount summed with PSADBW, byte-compare diff masks via
- * PCMPEQB+PMOVMSKB. SSE2 is baseline on x86-64, so this TU needs no
- * special compile flags — it compiles to a null stub on targets
- * without SSE2 and the registry skips the backend.
+ * PCMPEQB+PMOVMSKB, and a byte-lane positional popcount for wear
+ * (the word select is the shared one, which SSE2 does not beat).
+ * SSE2 is baseline on x86-64, so this TU needs no special compile
+ * flags — it compiles to a null stub on targets without SSE2 and the
+ * registry skips the backend.
  */
 
 #include "common/line_kernels.hh"
@@ -263,34 +265,20 @@ sse2AndNotInto(const CacheLine &a, const CacheLine &b, CacheLine &out)
         _mm_cvtsi128_si64(_mm_srli_si128(acc, 8)));
 }
 
-void
-sse2AccumulateFlips(const CacheLine &diff, uint64_t *counters)
+/**
+ * Sixteen 0x00/0xff byte lanes, lane k set iff bit k of @p bits is:
+ * three self-unpacks widen the two bytes of @p bits to eight lanes
+ * each, then each lane keeps its own bit and compares.
+ */
+inline __m128i
+byteLaneMask(unsigned bits)
 {
-    // Sparse diffs (the common case: a writeback flips a few percent
-    // of the line) scan set bits; dense diffs switch to a straight
-    // per-position add, which the compiler vectorizes and which has
-    // no data-dependent branches. Addition commutes, so the counter
-    // values are identical either way.
-    if (sse2Popcount(diff) < 128) {
-        scalarLineKernelOps()->accumulateFlips(diff, counters);
-        return;
-    }
-    for (unsigned limb = 0; limb < CacheLine::kLimbs; ++limb) {
-        uint64_t bits = diff.limbs()[limb];
-        uint64_t *base = counters + limb * 64;
-        for (unsigned j = 0; j < 64; ++j) {
-            base[j] += (bits >> j) & 1;
-        }
-    }
-}
-
-void
-sse2XorPopcountBatch(const CacheLine *a, const CacheLine *b,
-                     uint32_t *out, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        out[i] = sse2XorPopcount(a[i], b[i]);
-    }
+    const __m128i bit = _mm_set1_epi64x(0x8040201008040201LL);
+    __m128i v = _mm_cvtsi32_si128(static_cast<int>(bits & 0xffff));
+    v = _mm_unpacklo_epi8(v, v);
+    v = _mm_unpacklo_epi16(v, v);
+    v = _mm_unpacklo_epi32(v, v);
+    return _mm_cmpeq_epi8(_mm_and_si128(v, bit), bit);
 }
 
 void
@@ -301,12 +289,54 @@ sse2PopcountBatch(const CacheLine *lines, uint32_t *out, std::size_t n)
     }
 }
 
+/**
+ * counters[k] += byte k of @p acc, for k in [0, 16): three rounds of
+ * unpacks against zero widen the bytes to 64-bit lanes in order.
+ */
+inline void
+flushByteCounters(__m128i acc, uint64_t *counters)
+{
+    const __m128i zero = _mm_setzero_si128();
+    const __m128i w16[2] = {_mm_unpacklo_epi8(acc, zero),
+                            _mm_unpackhi_epi8(acc, zero)};
+    for (unsigned h = 0; h < 2; ++h) {
+        const __m128i w32[2] = {_mm_unpacklo_epi16(w16[h], zero),
+                                _mm_unpackhi_epi16(w16[h], zero)};
+        for (unsigned q = 0; q < 2; ++q) {
+            const __m128i w64[2] = {_mm_unpacklo_epi32(w32[q], zero),
+                                    _mm_unpackhi_epi32(w32[q], zero)};
+            for (unsigned e = 0; e < 2; ++e) {
+                auto *dst = reinterpret_cast<__m128i *>(
+                    counters + 8 * h + 4 * q + 2 * e);
+                _mm_storeu_si128(
+                    dst, _mm_add_epi64(_mm_loadu_si128(dst), w64[e]));
+            }
+        }
+    }
+}
+
 void
 sse2AccumulateFlipsBatch(const CacheLine *diffs, std::size_t n,
                          uint64_t *counters)
 {
-    // Carry-save planes + weighted scatter (shared portable core).
-    detail::positionalFlipAccumulate(diffs, n, counters);
+    // Positional popcount, 16 bits at a time: one register of 16
+    // byte counters runs down the batch per 16-bit chunk (the mask
+    // lanes are 0xff, so subtracting adds one), and is widened into
+    // counters every 255 lines, before a byte can wrap.
+    while (n > 0) {
+        std::size_t g = n < 255 ? n : 255;
+        for (unsigned c = 0; c < CacheLine::kBits / 16; ++c) {
+            __m128i acc = _mm_setzero_si128();
+            for (std::size_t i = 0; i < g; ++i) {
+                unsigned chunk = static_cast<unsigned>(
+                    diffs[i].limbs()[c / 4] >> (16 * (c % 4)));
+                acc = _mm_sub_epi8(acc, byteLaneMask(chunk));
+            }
+            flushByteCounters(acc, counters + 16 * c);
+        }
+        diffs += g;
+        n -= g;
+    }
 }
 
 constexpr LineKernelOps kSse2Ops = {
@@ -318,8 +348,7 @@ constexpr LineKernelOps kSse2Ops = {
     &sse2RegionPopcounts,
     &sse2MaskedXorInto,
     &sse2AndNotInto,
-    &sse2AccumulateFlips,
-    &sse2XorPopcountBatch,
+    &detail::selectWords,
     &sse2PopcountBatch,
     &sse2AccumulateFlipsBatch,
     &detail::mlcCellDiffExpand,

@@ -14,6 +14,28 @@
 namespace deuce
 {
 
+namespace
+{
+
+/**
+ * Word mask with all @p words_per_block bits of every block in
+ * @p blocks set (block b owns words [b * n, (b + 1) * n)).
+ */
+uint64_t
+blockWords(unsigned blocks, unsigned words_per_block)
+{
+    const uint64_t block = (uint64_t{1} << words_per_block) - 1;
+    uint64_t words = 0;
+    for (unsigned b = 0; b < BlockLevelEncryption::kBlocks; ++b) {
+        if (blocks & (1u << b)) {
+            words |= block << (b * words_per_block);
+        }
+    }
+    return words;
+}
+
+} // namespace
+
 BlockLevelEncryption::BlockLevelEncryption(const OtpEngine &otp,
                                            bool with_deuce,
                                            unsigned word_bytes,
@@ -83,29 +105,16 @@ BlockLevelEncryption::pads(uint64_t line_addr, unsigned lctr_mask,
 }
 
 void
-BlockLevelEncryption::xorBlock(CacheLine &line, unsigned block,
-                               const AesBlock &pad)
-{
-    for (unsigned i = 0; i < 16; ++i) {
-        unsigned byte = block * 16 + i;
-        line.setByte(byte, line.byte(byte) ^ pad[i]);
-    }
-}
-
-void
 BlockLevelEncryption::install(uint64_t line_addr,
                               const CacheLine &plaintext,
                               StoredLineState &state) const
 {
     state = StoredLineState{};
-    state.data = plaintext;
     const uint64_t zero_ctrs[kBlocks] = {};
     AesBlock block_pads[kBlocks];
     pads(line_addr, (1u << kBlocks) - 1, zero_ctrs, 0, block_pads,
          nullptr);
-    for (unsigned b = 0; b < kBlocks; ++b) {
-        xorBlock(state.data, b, block_pads[b]);
-    }
+    state.data = plaintext ^ CacheLine::fromBytes(block_pads[0].data());
 }
 
 WriteResult
@@ -115,8 +124,8 @@ BlockLevelEncryption::write(uint64_t line_addr, const CacheLine &plaintext,
     StoredLineState before = state;
     CacheLine cur_plain = read(line_addr, state);
 
-    // Pass 1: find the dirty blocks and bump their counters, so all
-    // the pads the write needs can be generated as one cipher batch.
+    // Find the dirty blocks and bump their counters, so all the pads
+    // the write needs can be generated as one cipher batch.
     unsigned dirty_mask = 0;
     unsigned tctr_mask = 0;
     uint64_t new_ctrs[kBlocks] = {};
@@ -133,67 +142,33 @@ BlockLevelEncryption::write(uint64_t line_addr, const CacheLine &plaintext,
             tctr_mask |= 1u << b;
         }
     }
-    AesBlock lctr_pads[kBlocks];
-    AesBlock tctr_pads[kBlocks];
+    // Blocks outside the masks keep zero pads; no select reads them.
+    AesBlock lctr_pads[kBlocks] = {};
+    AesBlock tctr_pads[kBlocks] = {};
     pads(line_addr, dirty_mask, new_ctrs, tctr_mask, lctr_pads,
          tctr_pads);
+    CacheLine pad = CacheLine::fromBytes(lctr_pads[0].data());
 
-    for (unsigned b = 0; b < kBlocks; ++b) {
-        if (!(dirty_mask & (1u << b))) {
-            continue;
-        }
-        unsigned block_lsb = b * kBlockBits;
-        uint64_t new_ctr = new_ctrs[b];
-        const AesBlock &pad_lctr = lctr_pads[b];
-
-        if (!withDeuce_ || isEpochStart(new_ctr)) {
-            // Re-encrypt the whole block with the fresh counter; in
-            // DEUCE composition this is the per-block epoch start.
-            for (unsigned i = 0; i < 16; ++i) {
-                unsigned byte = b * 16 + i;
-                state.data.setByte(byte,
-                                   plaintext.byte(byte) ^ pad_lctr[i]);
-            }
-            if (withDeuce_) {
-                uint64_t block_mask =
-                    ((wordsPerBlock_ == 64)
-                         ? ~uint64_t{0}
-                         : ((uint64_t{1} << wordsPerBlock_) - 1))
-                    << (b * wordsPerBlock_);
-                state.modifiedBits &= ~block_mask;
-            }
-            continue;
-        }
-
-        // DEUCE inside the block: accumulate modified words, encrypt
-        // them with the block LCTR, keep the rest at the block TCTR.
-        const AesBlock &pad_tctr = tctr_pads[b];
-        for (unsigned w = 0; w < wordsPerBlock_; ++w) {
-            unsigned word_lsb = block_lsb + w * wordBits_;
-            unsigned tracking_bit = b * wordsPerBlock_ + w;
-            uint64_t mask = uint64_t{1} << tracking_bit;
-
-            if (!(state.modifiedBits & mask) &&
-                plaintext.field(word_lsb, wordBits_) !=
-                    cur_plain.field(word_lsb, wordBits_)) {
-                state.modifiedBits |= mask;
-            }
-
-            const AesBlock &p =
-                (state.modifiedBits & mask) ? pad_lctr : pad_tctr;
-            // Extract the matching pad bits: word w covers bytes
-            // [w * wordBytes_, (w + 1) * wordBytes_) of the block.
-            uint64_t pad_bits = 0;
-            for (unsigned byte = 0; byte < wordBytes_; ++byte) {
-                pad_bits |= static_cast<uint64_t>(
-                                p[w * wordBytes_ + byte])
-                            << (8 * byte);
-            }
-            state.data.setField(word_lsb, wordBits_,
-                                plaintext.field(word_lsb, wordBits_) ^
-                                pad_bits);
-        }
+    if (withDeuce_) {
+        // DEUCE inside each block: a dirty block at its epoch start
+        // re-encrypts whole and resets its tracking bits; the others
+        // accumulate modified words, which take the block LCTR pad,
+        // while the rest keep the block TCTR pad.
+        const uint64_t epoch_words =
+            blockWords(dirty_mask & ~tctr_mask, wordsPerBlock_);
+        state.modifiedBits =
+            (state.modifiedBits |
+             lineKernels().wordDiffMask(plaintext, cur_plain,
+                                        wordBits_)) &
+            ~epoch_words;
+        lineKernels().selectByWordMask(
+            pad, CacheLine::fromBytes(tctr_pads[0].data()),
+            state.modifiedBits | epoch_words, wordBits_, pad);
     }
+    // Only dirty blocks are rewritten.
+    lineKernels().selectByWordMask(plaintext ^ pad, state.data,
+                                   blockWords(dirty_mask, kBlockBits / 64),
+                                   64, state.data);
     return makeWriteResult(before, state);
 }
 
@@ -201,7 +176,6 @@ CacheLine
 BlockLevelEncryption::read(uint64_t line_addr,
                            const StoredLineState &state) const
 {
-    CacheLine plain = state.data;
     // One batch covers every pad of the line: 4 LCTR pads, plus the
     // 4 TCTR pads in the DEUCE composition.
     constexpr unsigned kAll = (1u << kBlocks) - 1;
@@ -209,30 +183,13 @@ BlockLevelEncryption::read(uint64_t line_addr,
     AesBlock tctr_pads[kBlocks];
     pads(line_addr, kAll, state.blockCounters.data(),
          withDeuce_ ? kAll : 0, lctr_pads, tctr_pads);
-    for (unsigned b = 0; b < kBlocks; ++b) {
-        if (!withDeuce_) {
-            xorBlock(plain, b, lctr_pads[b]);
-            continue;
-        }
-        const AesBlock &pad_lctr = lctr_pads[b];
-        const AesBlock &pad_tctr = tctr_pads[b];
-        for (unsigned w = 0; w < wordsPerBlock_; ++w) {
-            unsigned word_lsb = b * kBlockBits + w * wordBits_;
-            unsigned tracking_bit = b * wordsPerBlock_ + w;
-            const AesBlock &p =
-                (state.modifiedBits & (uint64_t{1} << tracking_bit))
-                    ? pad_lctr : pad_tctr;
-            uint64_t pad_bits = 0;
-            for (unsigned byte = 0; byte < wordBytes_; ++byte) {
-                pad_bits |= static_cast<uint64_t>(
-                                p[w * wordBytes_ + byte])
-                            << (8 * byte);
-            }
-            plain.setField(word_lsb, wordBits_,
-                           plain.field(word_lsb, wordBits_) ^ pad_bits);
-        }
+    CacheLine pad = CacheLine::fromBytes(lctr_pads[0].data());
+    if (withDeuce_) {
+        lineKernels().selectByWordMask(
+            pad, CacheLine::fromBytes(tctr_pads[0].data()),
+            state.modifiedBits, wordBits_, pad);
     }
-    return plain;
+    return state.data ^ pad;
 }
 
 } // namespace deuce

@@ -73,10 +73,6 @@ class BlockLevelEncryption : public EncryptionScheme
               AesBlock lctr_pads[kBlocks],
               AesBlock tctr_pads[kBlocks]) const;
 
-    /** XOR a block region of the line with a 128-bit pad. */
-    static void xorBlock(CacheLine &line, unsigned block,
-                         const AesBlock &pad);
-
     uint64_t
     trailing(uint64_t counter) const
     {

@@ -119,16 +119,10 @@ Deuce::encryptStepWithPads(const CacheLine &plaintext,
     // their epoch-start (TCTR) ciphertext. Since an unmodified word's
     // plaintext equals the current plaintext, XORing it with the TCTR
     // pad reproduces the stored ciphertext bit-for-bit.
-    CacheLine cipher;
-    for (unsigned w = 0; w < numWords_; ++w) {
-        unsigned lsb = w * wordBits_;
-        const CacheLine &pad =
-            (modified & (uint64_t{1} << w)) ? pad_lctr : *pad_tctr;
-        cipher.setField(lsb, wordBits_,
-                        plaintext.field(lsb, wordBits_) ^
-                        pad.field(lsb, wordBits_));
-    }
-    cipher_out = cipher;
+    CacheLine pad;
+    lineKernels().selectByWordMask(pad_lctr, *pad_tctr, modified,
+                                   wordBits_, pad);
+    cipher_out = plaintext ^ pad;
     modified_out = modified;
 }
 
@@ -178,16 +172,10 @@ Deuce::decryptWithPads(const CacheLine &cipher, uint64_t modified,
                        const CacheLine &pad_lctr,
                        const CacheLine &pad_tctr) const
 {
-    CacheLine plain;
-    for (unsigned w = 0; w < numWords_; ++w) {
-        unsigned lsb = w * wordBits_;
-        const CacheLine &pad =
-            (modified & (uint64_t{1} << w)) ? pad_lctr : pad_tctr;
-        plain.setField(lsb, wordBits_,
-                       cipher.field(lsb, wordBits_) ^
-                       pad.field(lsb, wordBits_));
-    }
-    return plain;
+    CacheLine pad;
+    lineKernels().selectByWordMask(pad_lctr, pad_tctr, modified,
+                                   wordBits_, pad);
+    return cipher ^ pad;
 }
 
 unsigned

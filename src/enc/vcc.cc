@@ -190,19 +190,28 @@ Vcc::decryptWithPads(const CacheLine &cipher, uint64_t modified,
                      uint64_t sel, const CacheLine *lctr_cands,
                      const CacheLine *tctr_cands) const
 {
+    // Word w decrypts with candidate j = its selection field, taken
+    // from the LCTR set if the word is modified and else the TCTR set.
+    // Sort the words by candidate, then fold each set down to one pad
+    // line with a per-word select per candidate in use.
     const uint64_t sel_mask = (uint64_t{1} << selBits_) - 1;
-    CacheLine plain;
+    uint64_t words_of[kMaxCandidates] = {};
     for (unsigned w = 0; w < numWords_; ++w) {
-        unsigned lsb = w * wordBits_;
-        unsigned j = static_cast<unsigned>((sel >> (w * selBits_)) &
-                                           sel_mask);
-        const CacheLine &pad =
-            ((modified >> w) & 1) ? lctr_cands[j] : tctr_cands[j];
-        plain.setField(lsb, wordBits_,
-                       cipher.field(lsb, wordBits_) ^
-                           pad.field(lsb, wordBits_));
+        words_of[(sel >> (w * selBits_)) & sel_mask] |= uint64_t{1} << w;
     }
-    return plain;
+    const LineKernelOps &k = lineKernels();
+    CacheLine lctr = lctr_cands[0];
+    CacheLine tctr = tctr_cands[0];
+    for (unsigned j = 1; j < cfg_.candidates; ++j) {
+        if (words_of[j] != 0) {
+            k.selectByWordMask(lctr_cands[j], lctr, words_of[j],
+                               wordBits_, lctr);
+            k.selectByWordMask(tctr_cands[j], tctr, words_of[j],
+                               wordBits_, tctr);
+        }
+    }
+    k.selectByWordMask(lctr, tctr, modified, wordBits_, lctr);
+    return cipher ^ lctr;
 }
 
 void

@@ -11,17 +11,33 @@
 namespace deuce
 {
 
+namespace
+{
+
+/** @p line with every region whose bit of @p flip_bits is set inverted. */
+CacheLine
+invertRegions(const CacheLine &line, uint64_t flip_bits,
+              unsigned region_bits)
+{
+    CacheLine out;
+    lineKernels().selectByWordMask(~line, line, flip_bits, region_bits,
+                                   out);
+    return out;
+}
+
+} // namespace
+
 FnwResult
 applyFnw(const CacheLine &old_stored, uint64_t old_flip_bits,
          const CacheLine &logical, unsigned region_bits)
 {
-    deuce_assert(region_bits >= 2 && region_bits <= 64);
+    // At most 64 regions (one flip bit each in a uint64_t) of at
+    // most 64 bits: 8, 16, 32 or 64 bits per region.
+    deuce_assert(region_bits >= 8 && region_bits <= 64);
     deuce_assert(CacheLine::kBits % region_bits == 0);
     unsigned regions = fnwRegions(region_bits);
-    deuce_assert(regions <= 64);
 
     FnwResult result;
-    result.stored = logical;
 
     // One fused pass over the line gives every region's as-is flip
     // count; the inverted candidate's count follows for free, since
@@ -31,8 +47,6 @@ applyFnw(const CacheLine &old_stored, uint64_t old_flip_bits,
     const CacheLine diff = old_stored.diff(logical);
     lineKernels().regionPopcounts(diff, region_bits, plain_counts);
 
-    uint64_t mask = (region_bits == 64)
-        ? ~uint64_t{0} : ((uint64_t{1} << region_bits) - 1);
     for (unsigned r = 0; r < regions; ++r) {
         bool old_flip = (old_flip_bits >> r) & 1;
 
@@ -44,10 +58,6 @@ applyFnw(const CacheLine &old_stored, uint64_t old_flip_bits,
 
         bool invert = cost1 < cost0;
         if (invert) {
-            unsigned lsb = r * region_bits;
-            result.stored.setField(
-                lsb, region_bits,
-                logical.field(lsb, region_bits) ^ mask);
             result.flipBits |= uint64_t{1} << r;
             result.dataFlips += inverted_flips;
         } else {
@@ -57,6 +67,7 @@ applyFnw(const CacheLine &old_stored, uint64_t old_flip_bits,
             ++result.flipBitFlips;
         }
     }
+    result.stored = invertRegions(logical, result.flipBits, region_bits);
     return result;
 }
 
@@ -64,21 +75,9 @@ CacheLine
 fnwDecode(const CacheLine &stored, uint64_t flip_bits,
           unsigned region_bits)
 {
-    deuce_assert(region_bits >= 2 && region_bits <= 64);
+    deuce_assert(region_bits >= 8 && region_bits <= 64);
     deuce_assert(CacheLine::kBits % region_bits == 0);
-    unsigned regions = fnwRegions(region_bits);
-
-    CacheLine logical = stored;
-    uint64_t mask = (region_bits == 64)
-        ? ~uint64_t{0} : ((uint64_t{1} << region_bits) - 1);
-    for (unsigned r = 0; r < regions; ++r) {
-        if ((flip_bits >> r) & 1) {
-            unsigned lsb = r * region_bits;
-            logical.setField(lsb, region_bits,
-                             stored.field(lsb, region_bits) ^ mask);
-        }
-    }
-    return logical;
+    return invertRegions(stored, flip_bits, region_bits);
 }
 
 unsigned

@@ -50,7 +50,7 @@ fnwRegions(unsigned region_bits)
  * @param old_flip_bits current flip-bit vector
  * @param logical       new logical (un-inverted) value to represent
  * @param region_bits   FNW granularity in bits (default 16 = 2 bytes,
- *                      the paper's configuration; must divide 512)
+ *                      the paper's configuration): 8, 16, 32 or 64
  */
 FnwResult applyFnw(const CacheLine &old_stored, uint64_t old_flip_bits,
                    const CacheLine &logical, unsigned region_bits = 16);

@@ -39,24 +39,11 @@ void
 WearTracker::recordWrite(const CacheLine &diff, uint64_t meta_diff,
                          unsigned rotation, uint64_t coset_diff)
 {
-    ++writes_;
-
     // Rotating the diff mask by the line's current rotation converts
     // logical flip positions to physical cell positions.
     CacheLine physical =
         rotation ? diff.rotl(rotation % CacheLine::kBits) : diff;
-
-    if (tech_ == CellTech::MLC2) {
-        // Both level bits of a programmed cell wear, whichever of
-        // them the diff touched.
-        lineKernels().mlcCellDiffInto(physical, physical);
-    }
-
-    lineKernels().accumulateFlips(physical, dataFlips_.data());
-    totalDataFlips_ += physical.popcount();
-
-    scatterMetaWord(meta_diff, metaFlips_.data(), 0, totalMetaFlips_);
-    scatterMetaWord(coset_diff, metaFlips_.data(), 64, totalMetaFlips_);
+    recordWriteBatch(&physical, &meta_diff, 1, &coset_diff);
 }
 
 void

@@ -65,7 +65,8 @@ class WearTracker
 
     /**
      * Record the cell flips of @p n line writes at once, through the
-     * cross-line kernel entry points (carry-save positional counting).
+     * cross-line kernel entry points (positional popcount);
+     * recordWrite() is this with n = 1.
      * @p phys_diffs are *physical* diff masks — the caller has already
      * applied each line's rotation — paired with @p meta_diffs and
      * (optionally, null = all zero) @p coset_diffs. Exact integer

@@ -235,9 +235,10 @@ TEST_P(LineKernelDifferential, AndNotIntoMatchesScalar)
 
 TEST_P(LineKernelDifferential, AccumulateFlipsMatchesScalar)
 {
-    // Counter deltas must be identical whichever strategy a backend
-    // picks (sparse bit-scan vs dense add): start the two arrays at
-    // the same nonzero values and compare after each accumulation.
+    // The single-line entry (the batch kernel at n = 1, flushed on
+    // every call) must land the reference's counter deltas: start the
+    // two arrays at the same nonzero values and accumulate line by
+    // line.
     uint64_t got[CacheLine::kBits];
     uint64_t want[CacheLine::kBits];
     for (unsigned i = 0; i < CacheLine::kBits; ++i) {
@@ -250,23 +251,6 @@ TEST_P(LineKernelDifferential, AccumulateFlipsMatchesScalar)
         ref().accumulateFlips(diff, want);
     }
     EXPECT_EQ(std::memcmp(got, want, sizeof(got)), 0);
-}
-
-TEST_P(LineKernelDifferential, XorPopcountBatchMatchesScalar)
-{
-    auto pairs = pairCorpus();
-    std::vector<CacheLine> a, b;
-    for (const auto &[x, y] : pairs) {
-        a.push_back(x);
-        b.push_back(y);
-    }
-    std::vector<uint32_t> got(a.size()), want(a.size());
-    ops().xorPopcountBatch(a.data(), b.data(), got.data(), a.size());
-    ref().xorPopcountBatch(a.data(), b.data(), want.data(), a.size());
-    EXPECT_EQ(got, want);
-
-    // Zero-length batches are a no-op, not a crash.
-    ops().xorPopcountBatch(a.data(), b.data(), got.data(), 0);
 }
 
 TEST_P(LineKernelDifferential, PopcountBatchMatchesScalar)
@@ -286,9 +270,8 @@ TEST_P(LineKernelDifferential, PopcountBatchMatchesScalar)
 
 TEST_P(LineKernelDifferential, AccumulateFlipsBatchMatchesScalar)
 {
-    // The cross-line (carry-save) accumulation must land exactly the
-    // per-position counts of n single-line accumulations; sweep batch
-    // sizes around the CSA implementation's 7-line grouping.
+    // The cross-line accumulation must land exactly the per-position
+    // counts of n single-line reference scans.
     std::vector<CacheLine> diffs;
     for (const auto &[x, y] : pairCorpus()) {
         CacheLine d;
@@ -312,6 +295,90 @@ TEST_P(LineKernelDifferential, AccumulateFlipsBatchMatchesScalar)
     }
 }
 
+TEST_P(LineKernelDifferential, AccumulateFlipsBatchAcrossCounterFlush)
+{
+    // Byte-lane counters hold 255 lines before they are widened into
+    // the 64-bit counters: all-ones diffs drive every lane to the
+    // limit, and the sizes straddle one and two flushes.
+    Rng rng(0xf1a5);
+    std::vector<CacheLine> ones(600, allOnes());
+    std::vector<CacheLine> random;
+    for (unsigned i = 0; i < 600; ++i) {
+        random.push_back(randomLine(rng));
+    }
+    for (const std::vector<CacheLine> *diffs : {&ones, &random}) {
+        for (std::size_t n : {0, 1, 7, 254, 255, 256, 600}) {
+            uint64_t got[CacheLine::kBits];
+            uint64_t want[CacheLine::kBits];
+            for (unsigned i = 0; i < CacheLine::kBits; ++i) {
+                got[i] = want[i] = (uint64_t{1} << 40) + i;
+            }
+            ops().accumulateFlipsBatch(diffs->data(), n, got);
+            ref().accumulateFlipsBatch(diffs->data(), n, want);
+            EXPECT_EQ(std::memcmp(got, want, sizeof(got)), 0)
+                << (diffs == &ones ? "all-ones" : "random")
+                << " batch size " << n;
+            if (diffs == &ones) {
+                EXPECT_EQ(got[0], (uint64_t{1} << 40) + n);
+                EXPECT_EQ(got[511], (uint64_t{1} << 40) + 511 + n);
+            }
+        }
+    }
+}
+
+/**
+ * Independent per-word select oracle: word w of a when bit w of the
+ * mask is set, else word w of b, built from single-bit reads.
+ */
+CacheLine
+selectOracle(const CacheLine &a, const CacheLine &b, uint64_t mask,
+             unsigned word_bits)
+{
+    CacheLine out;
+    for (unsigned bit = 0; bit < CacheLine::kBits; ++bit) {
+        bool take_a = (mask >> (bit / word_bits)) & 1;
+        out.setBit(bit, take_a ? a.bit(bit) : b.bit(bit));
+    }
+    return out;
+}
+
+TEST_P(LineKernelDifferential, SelectByWordMaskMatchesOracle)
+{
+    Rng rng(0x5e1ec7);
+    CacheLine a = randomLine(rng);
+    CacheLine b = randomLine(rng);
+    for (unsigned word_bits : {8u, 16u, 32u, 64u}) {
+        unsigned words = CacheLine::kBits / word_bits;
+        uint64_t all = words == 64 ? ~uint64_t{0}
+                                   : (uint64_t{1} << words) - 1;
+        // Bits at or above the word count must be ignored: the last
+        // two masks set them.
+        std::vector<uint64_t> masks{0,
+                                    all,
+                                    0x5555555555555555ULL & all,
+                                    0xaaaaaaaaaaaaaaaaULL & all,
+                                    uint64_t{1} << (words - 1),
+                                    rng.next() & all,
+                                    rng.next(),
+                                    ~all};
+        for (uint64_t mask : masks) {
+            const CacheLine want = selectOracle(a, b, mask, word_bits);
+            CacheLine got;
+            ops().selectByWordMask(a, b, mask, word_bits, got);
+            EXPECT_EQ(got, want)
+                << "word_bits=" << word_bits << " mask=" << mask;
+
+            // The output may alias either input.
+            CacheLine out_a = a;
+            ops().selectByWordMask(out_a, b, mask, word_bits, out_a);
+            EXPECT_EQ(out_a, want) << "out == a, word_bits=" << word_bits;
+            CacheLine out_b = b;
+            ops().selectByWordMask(a, out_b, mask, word_bits, out_b);
+            EXPECT_EQ(out_b, want) << "out == b, word_bits=" << word_bits;
+        }
+    }
+}
+
 std::string
 backendTestName(
     const ::testing::TestParamInfo<LineBackendKind> &info)
@@ -322,6 +389,30 @@ backendTestName(
 INSTANTIATE_TEST_SUITE_P(Backends, LineKernelDifferential,
                          ::testing::ValuesIn(availableLineBackends()),
                          backendTestName);
+
+TEST(LineKernelShared, PortablePositionalPopcountMatchesScalar)
+{
+    // The portable SWAR kernel backs accumulateFlipsBatch wherever a
+    // backend has none of its own (neon), so test it directly on
+    // every host, across the 255-line flush.
+    Rng rng(0x9057);
+    std::vector<CacheLine> diffs(600, allOnes());
+    for (std::size_t i = 300; i < diffs.size(); ++i) {
+        diffs[i] = randomLine(rng);
+    }
+    for (std::size_t n : {0, 1, 7, 254, 255, 256, 600}) {
+        uint64_t got[CacheLine::kBits];
+        uint64_t want[CacheLine::kBits];
+        for (unsigned i = 0; i < CacheLine::kBits; ++i) {
+            got[i] = want[i] = i;
+        }
+        detail::positionalFlipAccumulate(diffs.data(), n, got);
+        scalarLineKernelOps()->accumulateFlipsBatch(diffs.data(), n,
+                                                    want);
+        EXPECT_EQ(std::memcmp(got, want, sizeof(got)), 0)
+            << "batch size " << n;
+    }
+}
 
 TEST(LineBackendRegistry, ParseNamesRoundTrip)
 {
