@@ -9,7 +9,7 @@
 #   DEUCE_TSAN=1         additionally build with ThreadSanitizer and
 #                        run the concurrency tests under it
 #   DEUCE_ASAN=1         additionally build with ASan+UBSan and run
-#                        the fault and sweep tests under it
+#                        the fault, sweep and write-path tests under it
 #   DEUCE_UBSAN=1        additionally build with UBSan alone (traps
 #                        fatal) and run the line-kernel differential
 #                        and fuzz-consistency tests under it
@@ -452,11 +452,22 @@ if [[ "${DEUCE_ASAN:-0}" == "1" ]]; then
     cmake -B "$asan" -S "$repo" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDEUCE_ASAN=ON
     cmake --build "$asan" -j "$(nproc)" \
-        --target test_fault test_fault_sweep test_sweep
+        --target test_fault test_fault_sweep test_sweep \
+                 test_write_batch test_deuce test_dyn_deuce test_vcc \
+                 test_ble
     "$asan/tests/test_fault"
     "$asan/tests/test_fault_sweep"
     "$asan/tests/test_sweep"
-    echo "tier1: ASan fault/sweep tests passed"
+    # The write path keeps its pad requests, blocks and line pads in
+    # stack arrays sized by kMaxWritePadLines, and the batch pipeline
+    # in reused scratch: run the one write body of every scheme family
+    # under ASan.
+    "$asan/tests/test_write_batch"
+    "$asan/tests/test_deuce"
+    "$asan/tests/test_dyn_deuce"
+    "$asan/tests/test_vcc"
+    "$asan/tests/test_ble"
+    echo "tier1: ASan fault/sweep/write-path tests passed"
 fi
 
 if [[ "${DEUCE_UBSAN:-0}" == "1" ]]; then

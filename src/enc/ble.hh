@@ -48,12 +48,20 @@ class BlockLevelEncryption : public EncryptionScheme
 
     void install(uint64_t line_addr, const CacheLine &plaintext,
                  StoredLineState &state) const override;
-    WriteResult write(uint64_t line_addr, const CacheLine &plaintext,
-                      StoredLineState &state) const override;
     CacheLine read(uint64_t line_addr,
                    const StoredLineState &state) const override;
 
     bool usesBlockCounters() const override { return true; }
+
+    /**
+     * Plans no pads: which block counters advance depends on the
+     * incoming data, so the write generates its own pads (one cipher
+     * batch) and ignores @p line_pads.
+     */
+    WriteResult writeWithPads(uint64_t line_addr,
+                              const CacheLine &plaintext,
+                              StoredLineState &state,
+                              const CacheLine *line_pads) const override;
 
   private:
     /**

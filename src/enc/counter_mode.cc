@@ -37,45 +37,12 @@ CounterModeEncryption::install(uint64_t line_addr,
     state.data = plaintext ^ otp_.padForLine(line_addr, 0);
 }
 
-WriteResult
-CounterModeEncryption::write(uint64_t line_addr,
-                             const CacheLine &plaintext,
-                             StoredLineState &state) const
-{
-    return applyWrite(plaintext, state,
-                      otp_.padForLine(line_addr, state.counter + 1));
-}
-
-WriteResult
-CounterModeEncryption::applyWrite(const CacheLine &plaintext,
-                                  StoredLineState &state,
-                                  const CacheLine &pad) const
-{
-    StoredLineState before = state;
-
-    ++state.counter;
-    CacheLine cipher = plaintext ^ pad;
-
-    if (useFnw_) {
-        FnwResult fnw = applyFnw(before.data, before.flipBits, cipher,
-                                 fnwRegionBits_);
-        state.data = fnw.stored;
-        state.flipBits = fnw.flipBits;
-    } else {
-        state.data = cipher;
-    }
-    return makeWriteResult(before, state);
-}
-
 unsigned
 CounterModeEncryption::planWritePads(uint64_t line_addr,
                                      const StoredLineState &state,
                                      LinePadRequest *requests) const
 {
-    for (unsigned block = 0; block < 4; ++block) {
-        requests[block] =
-            LinePadRequest{line_addr, state.counter + 1, block};
-    }
+    planLinePad(requests, 0, line_addr, state.counter + 1);
     return 1;
 }
 
@@ -91,7 +58,20 @@ CounterModeEncryption::writeWithPads(uint64_t, const CacheLine &plaintext,
                                      StoredLineState &state,
                                      const CacheLine *line_pads) const
 {
-    return applyWrite(plaintext, state, line_pads[0]);
+    StoredLineState before = state;
+
+    ++state.counter;
+    CacheLine cipher = plaintext ^ line_pads[0];
+
+    if (useFnw_) {
+        FnwResult fnw = applyFnw(before.data, before.flipBits, cipher,
+                                 fnwRegionBits_);
+        state.data = fnw.stored;
+        state.flipBits = fnw.flipBits;
+    } else {
+        state.data = cipher;
+    }
+    return makeWriteResult(before, state);
 }
 
 CacheLine

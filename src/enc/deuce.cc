@@ -70,110 +70,16 @@ Deuce::install(uint64_t line_addr, const CacheLine &plaintext,
     }
 }
 
-void
-Deuce::encryptStep(uint64_t line_addr, const CacheLine &plaintext,
-                   const CacheLine &cur_plain, uint64_t new_counter,
-                   uint64_t old_modified, CacheLine &cipher_out,
-                   uint64_t &modified_out) const
-{
-    CacheLine pad_lctr = otp_.padForLine(line_addr, new_counter);
-
-    if (isEpochStart(new_counter)) {
-        encryptStepWithPads(plaintext, cur_plain, new_counter,
-                            old_modified, pad_lctr, nullptr, cipher_out,
-                            modified_out);
-        return;
-    }
-
-    CacheLine pad_tctr =
-        otp_.padForLine(line_addr, trailingCounter(new_counter));
-    encryptStepWithPads(plaintext, cur_plain, new_counter, old_modified,
-                        pad_lctr, &pad_tctr, cipher_out, modified_out);
-}
-
-void
-Deuce::encryptStepWithPads(const CacheLine &plaintext,
-                           const CacheLine &cur_plain,
-                           uint64_t new_counter, uint64_t old_modified,
-                           const CacheLine &pad_lctr,
-                           const CacheLine *pad_tctr,
-                           CacheLine &cipher_out,
-                           uint64_t &modified_out) const
-{
-    if (isEpochStart(new_counter)) {
-        // Epoch start: full re-encryption, tracking bits reset.
-        cipher_out = plaintext ^ pad_lctr;
-        modified_out = 0;
-        return;
-    }
-    deuce_assert(pad_tctr != nullptr);
-
-    // Mark words that this write changes relative to current contents.
-    // Words already tracked since the epoch start stay marked, so the
-    // full diff mask can simply be OR-ed in.
-    uint64_t modified =
-        old_modified |
-        lineKernels().wordDiffMask(plaintext, cur_plain, wordBits_);
-
-    // Modified words take the fresh LCTR pad; unmodified words keep
-    // their epoch-start (TCTR) ciphertext. Since an unmodified word's
-    // plaintext equals the current plaintext, XORing it with the TCTR
-    // pad reproduces the stored ciphertext bit-for-bit.
-    CacheLine pad;
-    lineKernels().selectByWordMask(pad_lctr, *pad_tctr, modified,
-                                   wordBits_, pad);
-    cipher_out = plaintext ^ pad;
-    modified_out = modified;
-}
-
-WriteResult
-Deuce::write(uint64_t line_addr, const CacheLine &plaintext,
-             StoredLineState &state) const
-{
-    StoredLineState before = state;
-
-    // "On subsequent writes, a read is performed to identify the words
-    // that are modified by the given write" (Section 4.3.2).
-    CacheLine cur_plain = read(line_addr, state);
-
-    uint64_t new_counter = state.counter + 1;
-    CacheLine cipher;
-    uint64_t modified = 0;
-    encryptStep(line_addr, plaintext, cur_plain, new_counter,
-                state.modifiedBits, cipher, modified);
-
-    state.counter = new_counter;
-    state.modifiedBits = modified;
-    if (cfg_.withFnw) {
-        FnwResult fnw = applyFnw(before.data, before.flipBits, cipher,
-                                 cfg_.fnwRegionBits);
-        state.data = fnw.stored;
-        state.flipBits = fnw.flipBits;
-    } else {
-        state.data = cipher;
-    }
-    return makeWriteResult(before, state);
-}
-
 CacheLine
-Deuce::decryptWith(uint64_t line_addr, const CacheLine &cipher,
-                   uint64_t counter, uint64_t modified) const
-{
-    // Both pads are generated (in hardware: in parallel); the modified
-    // bit selects per word which decryption to keep (Figure 7).
-    CacheLine pad_lctr = otp_.padForLine(line_addr, counter);
-    CacheLine pad_tctr =
-        otp_.padForLine(line_addr, trailingCounter(counter));
-    return decryptWithPads(cipher, modified, pad_lctr, pad_tctr);
-}
-
-CacheLine
-Deuce::decryptWithPads(const CacheLine &cipher, uint64_t modified,
+Deuce::decryptWithPads(const StoredLineState &state,
                        const CacheLine &pad_lctr,
                        const CacheLine &pad_tctr) const
 {
+    CacheLine cipher = cfg_.withFnw
+        ? fnwDecode(state.data, state.flipBits, cfg_.fnwRegionBits)
+        : state.data;
     CacheLine pad;
-    lineKernels().selectByWordMask(pad_lctr, pad_tctr, modified,
+    lineKernels().selectByWordMask(pad_lctr, pad_tctr, state.modifiedBits,
                                    wordBits_, pad);
     return cipher ^ pad;
 }
@@ -182,25 +88,10 @@ unsigned
 Deuce::planWritePads(uint64_t line_addr, const StoredLineState &state,
                      LinePadRequest *requests) const
 {
-    unsigned n = 0;
-    auto addLine = [&](uint64_t counter) {
-        for (unsigned block = 0; block < 4; ++block) {
-            requests[n * 4 + block] =
-                LinePadRequest{line_addr, counter, block};
-        }
-        ++n;
-    };
-    // Read-back decryption of the current contents...
-    addLine(state.counter);
-    addLine(trailingCounter(state.counter));
-    // ...then the new image: LCTR pad always, TCTR pad unless the
-    // write starts an epoch (full re-encryption needs no TCTR pad).
-    uint64_t new_counter = state.counter + 1;
-    addLine(new_counter);
-    if (!isEpochStart(new_counter)) {
-        addLine(trailingCounter(new_counter));
-    }
-    return n;
+    planLinePad(requests, 0, line_addr, state.counter);
+    planLinePad(requests, 1, line_addr, trailingCounter(state.counter));
+    planLinePad(requests, 2, line_addr, state.counter + 1);
+    return 3;
 }
 
 void
@@ -216,26 +107,38 @@ Deuce::writeWithPads(uint64_t, const CacheLine &plaintext,
                      const CacheLine *line_pads) const
 {
     StoredLineState before = state;
+    const CacheLine &pad_tctr = line_pads[1];
+    const CacheLine &pad_lctr = line_pads[2];
 
-    // Same read-back as write(), but decrypting with the pre-generated
-    // pads: line_pads[0] = LCTR(c), [1] = TCTR(c).
-    CacheLine cur_cipher = cfg_.withFnw
-        ? fnwDecode(state.data, state.flipBits, cfg_.fnwRegionBits)
-        : state.data;
-    CacheLine cur_plain = decryptWithPads(cur_cipher, state.modifiedBits,
-                                          line_pads[0], line_pads[1]);
+    // "On subsequent writes, a read is performed to identify the words
+    // that are modified by the given write" (Section 4.3.2):
+    // line_pads[0] = LCTR(c) and [1] = TCTR(c) decrypt the current
+    // contents.
+    CacheLine cur_plain = decryptWithPads(state, line_pads[0], pad_tctr);
 
-    uint64_t new_counter = state.counter + 1;
     CacheLine cipher;
-    uint64_t modified = 0;
-    encryptStepWithPads(plaintext, cur_plain, new_counter,
-                        state.modifiedBits, line_pads[2],
-                        isEpochStart(new_counter) ? nullptr
-                                                  : &line_pads[3],
-                        cipher, modified);
+    state.counter += 1;
+    if (isEpochStart(state.counter)) {
+        // Epoch start: full re-encryption, tracking bits reset.
+        cipher = plaintext ^ pad_lctr;
+        state.modifiedBits = 0;
+    } else {
+        // Mark words that this write changes relative to current
+        // contents. Words already tracked since the epoch start stay
+        // marked, so the full diff mask can simply be OR-ed in.
+        state.modifiedBits |=
+            lineKernels().wordDiffMask(plaintext, cur_plain, wordBits_);
+        // Modified words take the fresh LCTR pad; unmodified words
+        // keep their epoch-start ciphertext: their plaintext equals
+        // the current plaintext, so the TCTR pad (the same for c and
+        // c+1 mid-epoch) reproduces the stored ciphertext bit-for-bit.
+        CacheLine pad;
+        lineKernels().selectByWordMask(pad_lctr, pad_tctr,
+                                       state.modifiedBits, wordBits_,
+                                       pad);
+        cipher = plaintext ^ pad;
+    }
 
-    state.counter = new_counter;
-    state.modifiedBits = modified;
     if (cfg_.withFnw) {
         FnwResult fnw = applyFnw(before.data, before.flipBits, cipher,
                                  cfg_.fnwRegionBits);
@@ -250,11 +153,19 @@ Deuce::writeWithPads(uint64_t, const CacheLine &plaintext,
 CacheLine
 Deuce::read(uint64_t line_addr, const StoredLineState &state) const
 {
-    CacheLine cipher = cfg_.withFnw
-        ? fnwDecode(state.data, state.flipBits, cfg_.fnwRegionBits)
-        : state.data;
-    return decryptWith(line_addr, cipher, state.counter,
-                       state.modifiedBits);
+    // Both pads in one 8-block cipher batch (in hardware: generated in
+    // parallel); the modified bits select per word which to keep.
+    PadRequest requests[8];
+    for (unsigned block = 0; block < 4; ++block) {
+        requests[block] = PadRequest{state.counter, block};
+        requests[4 + block] =
+            PadRequest{trailingCounter(state.counter), block};
+    }
+    AesBlock blocks[8];
+    otp_.padForBlocks(line_addr, requests, blocks, 8);
+    CacheLine pads[2];
+    assembleLinePads(blocks, 2, pads);
+    return decryptWithPads(state, pads[0], pads[1]);
 }
 
 } // namespace deuce

@@ -69,8 +69,6 @@ class Deuce : public EncryptionScheme
 
     void install(uint64_t line_addr, const CacheLine &plaintext,
                  StoredLineState &state) const override;
-    WriteResult write(uint64_t line_addr, const CacheLine &plaintext,
-                      StoredLineState &state) const override;
     CacheLine read(uint64_t line_addr,
                    const StoredLineState &state) const override;
 
@@ -97,11 +95,10 @@ class Deuce : public EncryptionScheme
     const DeuceConfig &config() const { return cfg_; }
 
     /**
-     * Pad plan: [LCTR(c), TCTR(c)] for the read-back, [c+1] for the
-     * new image, plus [TCTR(c+1)] unless the write starts an epoch —
-     * the exact pads (and order) the sequential path generates.
+     * Pad plan: [LCTR(c), TCTR(c)] for the read-back, [LCTR(c+1)] for
+     * the new image. TCTR(c+1) is never planned: mid-epoch it equals
+     * TCTR(c), and an epoch-start write re-encrypts the whole line.
      */
-    bool supportsBatchedWrites() const override { return true; }
     unsigned planWritePads(uint64_t line_addr,
                            const StoredLineState &state,
                            LinePadRequest *requests) const override;
@@ -114,35 +111,11 @@ class Deuce : public EncryptionScheme
 
   private:
     /**
-     * Build the new logical ciphertext image and updated modified bits
-     * for one write; shared by Deuce and DynDeuce.
+     * Decrypt the line's stored image: words with their modified bit
+     * set take the LCTR pad, the others the TCTR pad (Figure 7).
+     * Shared by read() and the write's read-back.
      */
-    friend class DynDeuce;
-    void encryptStep(uint64_t line_addr, const CacheLine &plaintext,
-                     const CacheLine &cur_plain, uint64_t new_counter,
-                     uint64_t old_modified, CacheLine &cipher_out,
-                     uint64_t &modified_out) const;
-
-    /**
-     * encryptStep with the pads already generated: @p pad_lctr is the
-     * pad of @p new_counter; @p pad_tctr the pad of its trailing
-     * counter, or nullptr iff the write starts an epoch (the TCTR pad
-     * is not generated — nor needed — on a full re-encryption).
-     */
-    void encryptStepWithPads(const CacheLine &plaintext,
-                             const CacheLine &cur_plain,
-                             uint64_t new_counter, uint64_t old_modified,
-                             const CacheLine &pad_lctr,
-                             const CacheLine *pad_tctr,
-                             CacheLine &cipher_out,
-                             uint64_t &modified_out) const;
-
-    /** Decrypt given explicit counter/modified-bit values. */
-    CacheLine decryptWith(uint64_t line_addr, const CacheLine &cipher,
-                          uint64_t counter, uint64_t modified) const;
-
-    /** decryptWith, consuming pre-generated LCTR/TCTR pads. */
-    CacheLine decryptWithPads(const CacheLine &cipher, uint64_t modified,
+    CacheLine decryptWithPads(const StoredLineState &state,
                               const CacheLine &pad_lctr,
                               const CacheLine &pad_tctr) const;
 

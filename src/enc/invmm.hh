@@ -49,10 +49,14 @@ class INvmm : public EncryptionScheme
 
     void install(uint64_t line_addr, const CacheLine &plaintext,
                  StoredLineState &state) const override;
-    WriteResult write(uint64_t line_addr, const CacheLine &plaintext,
-                      StoredLineState &state) const override;
     CacheLine read(uint64_t line_addr,
                    const StoredLineState &state) const override;
+
+    /** Plans no pads: a demand write stores plaintext. */
+    WriteResult writeWithPads(uint64_t line_addr,
+                              const CacheLine &plaintext,
+                              StoredLineState &state,
+                              const CacheLine *line_pads) const override;
 
     /**
      * Advance the idleness clock and encrypt lines that turned cold.

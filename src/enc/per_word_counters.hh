@@ -56,10 +56,18 @@ class PerWordCounters : public EncryptionScheme
 
     void install(uint64_t line_addr, const CacheLine &plaintext,
                  StoredLineState &state) const override;
-    WriteResult write(uint64_t line_addr, const CacheLine &plaintext,
-                      StoredLineState &state) const override;
     CacheLine read(uint64_t line_addr,
                    const StoredLineState &state) const override;
+
+    /**
+     * Plans no pads: which word counters advance depends on the
+     * incoming data, so the write generates its own pads (one cipher
+     * batch) and ignores @p line_pads.
+     */
+    WriteResult writeWithPads(uint64_t line_addr,
+                              const CacheLine &plaintext,
+                              StoredLineState &state,
+                              const CacheLine *line_pads) const override;
 
     /** Full re-keys forced by per-word counter overflow so far. */
     uint64_t overflowRekeys() const { return overflowRekeys_; }

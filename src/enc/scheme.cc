@@ -27,13 +27,23 @@ EncryptionScheme::registerStats(obs::StatRegistry &reg,
                     });
 }
 
+WriteResult
+EncryptionScheme::write(uint64_t line_addr, const CacheLine &plaintext,
+                        StoredLineState &state) const
+{
+    LinePadRequest requests[4 * kMaxWritePadLines];
+    AesBlock blocks[4 * kMaxWritePadLines];
+    CacheLine line_pads[kMaxWritePadLines];
+    unsigned n = planWrite(*this, line_addr, state, requests);
+    generatePads(requests, blocks, 4 * n);
+    assembleLinePads(blocks, n, line_pads);
+    return writeWithPads(line_addr, plaintext, state, line_pads);
+}
+
 unsigned
 EncryptionScheme::planWritePads(uint64_t, const StoredLineState &,
                                 LinePadRequest *) const
 {
-    // Default: no plannable pads. Paired with the default
-    // supportsBatchedWrites() == false, this routes the scheme
-    // through the one-at-a-time fallback inside a batch.
     return 0;
 }
 
@@ -47,15 +57,21 @@ EncryptionScheme::generatePads(const LinePadRequest *, AesBlock *,
     }
 }
 
-WriteResult
-EncryptionScheme::writeWithPads(uint64_t line_addr,
-                                const CacheLine &plaintext,
-                                StoredLineState &state,
-                                const CacheLine *) const
+unsigned
+planWrite(const EncryptionScheme &scheme, uint64_t line_addr,
+          const StoredLineState &state, LinePadRequest *requests)
 {
-    // Only correct when planWritePads() returned 0 (no pads to
-    // consume); schemes that plan pads must override.
-    return write(line_addr, plaintext, state);
+    unsigned n = scheme.planWritePads(line_addr, state, requests);
+    deuce_assert(n <= kMaxWritePadLines);
+    return n;
+}
+
+void
+assembleLinePads(const AesBlock *blocks, unsigned n, CacheLine *line_pads)
+{
+    for (unsigned p = 0; p < n; ++p) {
+        line_pads[p] = CacheLine::fromBytes(blocks[4 * p].data());
+    }
 }
 
 WriteResult

@@ -6,9 +6,14 @@
  *
  * A scheme is a pure state transformer: given the line's current
  * stored state (cell image + counters + tracking bits) and a new
- * plaintext, write() produces the new stored state. All bit-flip
+ * plaintext, a write produces the new stored state. All bit-flip
  * accounting is derived centrally by diffing old and new state
  * (makeWriteResult), so a scheme cannot misreport its own cost.
+ *
+ * Every scheme has exactly one write body, writeWithPads(). A write
+ * is planned (planWritePads), its pads generated (generatePads) and
+ * then committed by writeWithPads(); write() runs those three steps
+ * for one line and MemorySystem::writeBatch() runs them for a burst.
  */
 
 #ifndef DEUCE_ENC_SCHEME_HH
@@ -34,10 +39,11 @@ constexpr unsigned kLineCounterBits = 28;
 
 /**
  * Upper bound on the 512-bit line pads any scheme plans for one
- * write; sizes the per-write slice of a batch pipeline's pad arena.
- * VCC is the current maximum: with N = 4 coset candidates it plans
- * 3N + 2 = 14 line pads (old/new candidate sets plus the two
- * auxiliary-word pads); DynDEUCE's three-way race needs five.
+ * write; sizes the stack arrays of EncryptionScheme::write() and the
+ * per-write slice of a batch pipeline's pad arena. VCC is the current
+ * maximum: with N = 4 coset candidates it plans 3N + 2 = 14 line pads
+ * (old/new candidate sets plus the two auxiliary-word pads); DEUCE
+ * and DynDEUCE plan at most three.
  */
 constexpr unsigned kMaxWritePadLines = 14;
 
@@ -142,12 +148,14 @@ class EncryptionScheme
 
     /**
      * Apply one writeback of @p plaintext to the line, updating
-     * @p state in place.
+     * @p state in place: plan the pads, generate them in one
+     * generatePads() call and commit through writeWithPads(). Schemes
+     * do not override it; a decorator that forwards every virtual may.
      * @return the flip accounting for this write.
      */
     virtual WriteResult write(uint64_t line_addr,
                               const CacheLine &plaintext,
-                              StoredLineState &state) const = 0;
+                              StoredLineState &state) const;
 
     /** Decrypt the line's current contents. */
     virtual CacheLine read(uint64_t line_addr,
@@ -163,23 +171,22 @@ class EncryptionScheme
     virtual bool usesBlockCounters() const { return false; }
 
     /**
-     * Whether the scheme supports the batched write pipeline: its
-     * pad needs for a write are a pure function of the pre-write
-     * stored state (planWritePads), so a burst's pads can all be
-     * generated through one cipher stream before any line commits.
-     * Schemes whose pads depend on the incoming data (BLE's dirty
-     * mask, per-word counters) keep the default and fall back to
-     * one-at-a-time write() inside a batch.
+     * Every scheme runs the planned-pad write, so this is always true.
+     * Nothing in the library consults it; it stays only so decorators
+     * that forward every virtual keep compiling.
      */
-    virtual bool supportsBatchedWrites() const { return false; }
+    virtual bool supportsBatchedWrites() const { return true; }
 
     /**
-     * Plan the 512-bit line pads write() would generate for this
-     * (line, state) pair, appending 4 block-granular requests per
-     * line pad (blocks 0..3 at one counter) to @p requests — in the
-     * exact order the sequential path generates them, so pad counters
-     * stay bit-identical. @p requests must hold at least
-     * 4 * kMaxWritePadLines entries.
+     * Plan the 512-bit line pads writeWithPads() consumes for this
+     * (line, state) pair, appending 4 block-granular requests per line
+     * pad (blocks 0..3 at one counter; see planLinePad()) to
+     * @p requests, which must hold 4 * kMaxWritePadLines entries. The
+     * plan depends only on the pre-write state, so a burst's pads can
+     * all be generated before any line commits. Schemes whose pads
+     * depend on the incoming data (BLE's dirty blocks, per-word
+     * counters) and schemes that need no write pads keep the default,
+     * which plans none.
      * @return the number of line pads planned (not block requests).
      */
     virtual unsigned planWritePads(uint64_t line_addr,
@@ -195,17 +202,17 @@ class EncryptionScheme
                               AesBlock *pads, unsigned n) const;
 
     /**
-     * write(), but consuming the pre-generated line pads planned by
-     * planWritePads() (one CacheLine per planned line pad, blocks
-     * already assembled) instead of calling the OTP engine. Must be
-     * bit-identical to write() — same new state, same WriteResult.
-     * The default ignores @p line_pads and calls write(), which is
-     * only correct for schemes that plan zero pads.
+     * The scheme's write body: apply one writeback of @p plaintext,
+     * consuming the line pads planWritePads() planned for this state
+     * (one CacheLine per planned line pad, blocks already assembled by
+     * assembleLinePads()). A scheme that planned no pads ignores
+     * @p line_pads and generates any data-dependent pads itself.
      */
     virtual WriteResult writeWithPads(uint64_t line_addr,
                                       const CacheLine &plaintext,
                                       StoredLineState &state,
-                                      const CacheLine *line_pads) const;
+                                      const CacheLine *line_pads)
+        const = 0;
 
     /**
      * Register the scheme's stats under @p prefix (dotted, e.g.
@@ -216,6 +223,32 @@ class EncryptionScheme
     virtual void registerStats(obs::StatRegistry &reg,
                                const std::string &prefix) const;
 };
+
+/** Plan line pad @p index: blocks 0..3 of (@p line_addr, @p counter). */
+inline void
+planLinePad(LinePadRequest *requests, unsigned index, uint64_t line_addr,
+            uint64_t counter)
+{
+    for (unsigned block = 0; block < 4; ++block) {
+        requests[index * 4 + block] =
+            LinePadRequest{line_addr, counter, block};
+    }
+}
+
+/**
+ * scheme.planWritePads() for one write, checked against
+ * kMaxWritePadLines (the bound every pad arena is sized by).
+ */
+unsigned planWrite(const EncryptionScheme &scheme, uint64_t line_addr,
+                   const StoredLineState &state,
+                   LinePadRequest *requests);
+
+/**
+ * Assemble @p n line pads from 4 * @p n generated blocks: line pad p
+ * takes blocks 4p..4p+3 at bytes 16b..16b+15 (padForLine()'s layout).
+ */
+void assembleLinePads(const AesBlock *blocks, unsigned n,
+                      CacheLine *line_pads);
 
 } // namespace deuce
 

@@ -235,12 +235,62 @@ Vcc::install(uint64_t line_addr, const CacheLine &plaintext,
     state.cosetBits = (sel ^ aux) & auxMask_;
 }
 
-WriteResult
-Vcc::writeCore(uint64_t, const CacheLine &plaintext,
-               StoredLineState &state, const CacheLine *lctr_cands,
-               const CacheLine *tctr_cands, uint64_t aux_old,
-               const CacheLine *new_cands, uint64_t aux_new) const
+CacheLine
+Vcc::read(uint64_t line_addr, const StoredLineState &state) const
 {
+    CacheLine lctr_cands[kMaxCandidates];
+    CacheLine tctr_cands[kMaxCandidates];
+    genCandidates(line_addr, state.counter, lctr_cands);
+    genCandidates(line_addr, trailingCounter(state.counter), tctr_cands);
+    uint64_t sel =
+        (state.cosetBits ^ auxPad64(line_addr, state.counter)) &
+        auxMask_;
+    return decryptWithPads(state.data, state.modifiedBits, sel,
+                           lctr_cands, tctr_cands);
+}
+
+unsigned
+Vcc::planWritePads(uint64_t line_addr, const StoredLineState &state,
+                   LinePadRequest *requests) const
+{
+    const unsigned n = cfg_.candidates;
+    // Read-back decryption of the current contents...
+    for (unsigned j = 0; j < n; ++j) {
+        planLinePad(requests, j, line_addr,
+                    virtualCounter(state.counter, j));
+        planLinePad(requests, n + j, line_addr,
+                    virtualCounter(trailingCounter(state.counter), j));
+    }
+    planLinePad(requests, 2 * n, line_addr,
+                virtualCounter(state.counter, n));
+    // ...then the new image: candidates and auxiliary pad of c+1.
+    for (unsigned j = 0; j <= n; ++j) {
+        planLinePad(requests, 2 * n + 1 + j, line_addr,
+                    virtualCounter(state.counter + 1, j));
+    }
+    return 3 * n + 2;
+}
+
+void
+Vcc::generatePads(const LinePadRequest *requests, AesBlock *pads,
+                  unsigned n) const
+{
+    otp_.padForLines(requests, pads, n);
+}
+
+WriteResult
+Vcc::writeWithPads(uint64_t, const CacheLine &plaintext,
+                   StoredLineState &state,
+                   const CacheLine *line_pads) const
+{
+    // line_pads = [N LCTR(c) candidates, N TCTR(c) candidates,
+    // aux(c), N candidates of c+1, aux(c+1)].
+    const unsigned n = cfg_.candidates;
+    const CacheLine *lctr_cands = line_pads;
+    const CacheLine *tctr_cands = line_pads + n;
+    const uint64_t aux_old = line_pads[2 * n].limbs()[0];
+    const CacheLine *new_cands = line_pads + 2 * n + 1;
+    const uint64_t aux_new = line_pads[3 * n + 1].limbs()[0];
     StoredLineState before = state;
 
     // Read-back: decode the current selection word, then the current
@@ -265,87 +315,6 @@ Vcc::writeCore(uint64_t, const CacheLine &plaintext,
     // the data-dependent selection indices encrypted.
     state.cosetBits = (sel ^ aux_new) & auxMask_;
     return makeWriteResult(before, state);
-}
-
-WriteResult
-Vcc::write(uint64_t line_addr, const CacheLine &plaintext,
-           StoredLineState &state) const
-{
-    // Pad generation order must match planWritePads() exactly.
-    CacheLine lctr_cands[kMaxCandidates];
-    CacheLine tctr_cands[kMaxCandidates];
-    CacheLine new_cands[kMaxCandidates];
-    genCandidates(line_addr, state.counter, lctr_cands);
-    genCandidates(line_addr, trailingCounter(state.counter), tctr_cands);
-    uint64_t aux_old = auxPad64(line_addr, state.counter);
-    genCandidates(line_addr, state.counter + 1, new_cands);
-    uint64_t aux_new = auxPad64(line_addr, state.counter + 1);
-
-    return writeCore(line_addr, plaintext, state, lctr_cands, tctr_cands,
-                     aux_old, new_cands, aux_new);
-}
-
-CacheLine
-Vcc::read(uint64_t line_addr, const StoredLineState &state) const
-{
-    CacheLine lctr_cands[kMaxCandidates];
-    CacheLine tctr_cands[kMaxCandidates];
-    genCandidates(line_addr, state.counter, lctr_cands);
-    genCandidates(line_addr, trailingCounter(state.counter), tctr_cands);
-    uint64_t sel =
-        (state.cosetBits ^ auxPad64(line_addr, state.counter)) &
-        auxMask_;
-    return decryptWithPads(state.data, state.modifiedBits, sel,
-                           lctr_cands, tctr_cands);
-}
-
-unsigned
-Vcc::planWritePads(uint64_t line_addr, const StoredLineState &state,
-                   LinePadRequest *requests) const
-{
-    unsigned n = 0;
-    auto addLine = [&](uint64_t vctr) {
-        for (unsigned block = 0; block < 4; ++block) {
-            requests[n * 4 + block] =
-                LinePadRequest{line_addr, vctr, block};
-        }
-        ++n;
-    };
-    // Read-back decryption of the current contents...
-    for (unsigned j = 0; j < cfg_.candidates; ++j) {
-        addLine(virtualCounter(state.counter, j));
-    }
-    for (unsigned j = 0; j < cfg_.candidates; ++j) {
-        addLine(virtualCounter(trailingCounter(state.counter), j));
-    }
-    addLine(virtualCounter(state.counter, cfg_.candidates));
-    // ...then the new image: candidates and auxiliary pad of c+1.
-    for (unsigned j = 0; j < cfg_.candidates; ++j) {
-        addLine(virtualCounter(state.counter + 1, j));
-    }
-    addLine(virtualCounter(state.counter + 1, cfg_.candidates));
-    return n;
-}
-
-void
-Vcc::generatePads(const LinePadRequest *requests, AesBlock *pads,
-                  unsigned n) const
-{
-    otp_.padForLines(requests, pads, n);
-}
-
-WriteResult
-Vcc::writeWithPads(uint64_t line_addr, const CacheLine &plaintext,
-                   StoredLineState &state,
-                   const CacheLine *line_pads) const
-{
-    const unsigned n = cfg_.candidates;
-    return writeCore(line_addr, plaintext, state,
-                     /*lctr_cands=*/line_pads,
-                     /*tctr_cands=*/line_pads + n,
-                     /*aux_old=*/line_pads[2 * n].limbs()[0],
-                     /*new_cands=*/line_pads + 2 * n + 1,
-                     /*aux_new=*/line_pads[3 * n + 1].limbs()[0]);
 }
 
 } // namespace deuce

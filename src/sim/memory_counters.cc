@@ -20,17 +20,6 @@ MemoryCounters::MemoryCounters(const PcmConfig &pcm)
 }
 
 void
-MemoryCounters::noteWrite(uint64_t line_addr, const WriteResult &result,
-                          unsigned slots, double flip_fraction,
-                          unsigned rotation)
-{
-    wear_.recordWrite(result.dataDiff,
-                      result.modifiedDiff | result.flipDiff, rotation,
-                      result.cosetDiff);
-    noteWriteNoWear(line_addr, result, slots, flip_fraction);
-}
-
-void
 MemoryCounters::noteWriteNoWear(uint64_t line_addr,
                                 const WriteResult &result, unsigned slots,
                                 double flip_fraction)

@@ -47,23 +47,15 @@ class MemoryCounters
     explicit MemoryCounters(const PcmConfig &pcm = PcmConfig{});
 
     /**
-     * Charge one line writeback.
+     * Charge one line writeback, all but its wear: the write pipeline
+     * charges each line in request order through this (the
+     * RunningStat means are order-sensitive) and lands the whole
+     * burst's wear in one noteWearBatch() call (wear is exact integer
+     * accounting, hence order-free).
      * @param line_addr     line address (decides the bank)
      * @param result        the scheme's flip accounting
      * @param slots         write slots consumed
      * @param flip_fraction fraction of the 512 line bits flipped
-     * @param rotation      HWL rotation in force (wear positions)
-     */
-    void noteWrite(uint64_t line_addr, const WriteResult &result,
-                   unsigned slots, double flip_fraction,
-                   unsigned rotation);
-
-    /**
-     * noteWrite() minus the wear-tracker update: the batched write
-     * pipeline charges each line in request order through this (the
-     * RunningStat means are order-sensitive) and lands the whole
-     * burst's wear in one noteWearBatch() call (wear is exact integer
-     * accounting, hence order-free).
      */
     void noteWriteNoWear(uint64_t line_addr, const WriteResult &result,
                          unsigned slots, double flip_fraction);
@@ -82,8 +74,8 @@ class MemoryCounters
      * Charge one MLC2 write's data-cell transition histogram
      * (common/line_kernels.hh mlcTransitionCounts layout) to the
      * energy model. Only called when the device is MLC2; under MLC2
-     * noteWrite/noteWriteNoWear charge the *metadata* flips at the
-     * SLC per-bit rate and the data cells are priced here through
+     * noteWriteNoWear charges the *metadata* flips at the SLC per-bit
+     * rate and the data cells are priced here through
      * the per-transition matrix.
      */
     void noteMlcTransitions(const uint64_t *counts);

@@ -5,6 +5,9 @@
 
 #include "sim/memory_system.hh"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "common/line_kernels.hh"
 #include "common/logging.hh"
 #include "obs/flight_recorder.hh"
@@ -76,61 +79,10 @@ MemorySystem::install(uint64_t line_addr)
 WriteOutcome
 MemorySystem::write(uint64_t line_addr, const CacheLine &plaintext)
 {
-    StoredLineState &state = install(line_addr);
-
-    // Vertical wear leveling advances on demand writes. The gap copy
-    // itself rewrites one line at its new rotation; its (~1% of
-    // traffic) flip cost is the classic Start-Gap overhead and is not
-    // charged to the scheme under study, matching the paper.
-    if (vwl_) {
-        vwl_->onWrite();
-    }
-
+    // A one-request chunk: no duplicate split, no WriteBatch event.
+    const WriteRequest request{line_addr, plaintext};
     WriteOutcome outcome;
-    outcome.result = scheme_.write(line_addr, plaintext, state);
-
-    unsigned rotation = rotation_->rotationFor(line_addr);
-    rotation_->onWrite(line_addr);
-    unsigned rot = rotation % CacheLine::kBits;
-
-    // The fault domain sees the same physical view as the wear
-    // tracker: the HWL rotation decides which cells the flips land on
-    // and which cells the image occupies.
-    if (fault_) {
-        FaultDomain::Outcome f = fault_->onWrite(
-            line_addr,
-            rot ? outcome.result.dataDiff.rotl(rot)
-                : outcome.result.dataDiff,
-            rot ? state.data.rotl(rot) : state.data);
-        outcome.faultCorrectedCells = f.correctedCells;
-        outcome.faultUncorrectable = f.uncorrectable;
-    }
-
-    outcome.slots = slotsForWrite(outcome.result.dataDiff,
-                                  outcome.result.metaFlips, pcm_);
-    outcome.writeLatencyNs =
-        static_cast<double>(outcome.slots) * pcm_.writeSlotNs;
-    if (pcm_.cellTech == CellTech::MLC2) {
-        chargeMlcWrite(rot ? outcome.result.dataDiff.rotl(rot)
-                           : outcome.result.dataDiff,
-                       state.data, rot, outcome);
-    }
-    outcome.flipFraction =
-        static_cast<double>(outcome.result.totalFlips()) /
-        CacheLine::kBits;
-
-    counters_.noteWrite(line_addr, outcome.result, outcome.slots,
-                        outcome.flipFraction, rotation);
-
-    obs::flightRecorderRecord(obs::FlightEventKind::Write, 0, 0,
-                              line_addr, outcome.result.totalFlips());
-
-    if (persist_) {
-        PersistTraffic t = persist_->onWrite(line_addr, state);
-        outcome.persistMetaWrites =
-            static_cast<unsigned>(t.criticalMetaWrites);
-        counters_.notePersist(t.metaReads, t.metaWrites);
-    }
+    applyBatchChunk({&request, 1}, &outcome);
     return outcome;
 }
 
@@ -168,76 +120,78 @@ std::span<const WriteOutcome>
 MemorySystem::writeBatch(std::span<const WriteRequest> requests)
 {
     BatchScratch &s = scratch_;
-    s.outcomes.clear();
-    if (requests.empty()) {
+    const std::size_t n = requests.size();
+    s.outcomes.resize(n);
+    if (n == 0) {
         return {};
-    }
-    s.outcomes.reserve(requests.size());
-
-    if (!scheme_.supportsBatchedWrites()) {
-        // Data-dependent pad schemes (BLE's dirty mask, per-word
-        // counters) cannot pre-plan; their batch is the sequential
-        // path with batched result storage.
-        for (const WriteRequest &r : requests) {
-            s.outcomes.push_back(write(r.lineAddr, r.data));
-        }
-        return {s.outcomes.data(), s.outcomes.size()};
     }
 
     // A repeated address must plan its second write against the
     // post-first-write state, so the burst splits into duplicate-free
-    // chunks committed in order.
-    std::size_t begin = 0;
-    s.seen.clear();
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (!s.seen.insert(requests[i].lineAddr).second) {
-            applyBatchChunk(requests.subspan(begin, i - begin));
-            begin = i;
-            s.seen.clear();
-            s.seen.insert(requests[i].lineAddr);
+    // chunks committed in order: a chunk ends before the first
+    // request whose address already occurs in it. Sorting (address,
+    // index) pairs finds each request's previous occurrence without a
+    // node-based set, in scratch reused across calls.
+    s.order.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        s.order[i] = {requests[i].lineAddr, i};
+    }
+    std::sort(s.order.begin(), s.order.end());
+    s.prevSame.assign(n, SIZE_MAX);
+    for (std::size_t k = 1; k < n; ++k) {
+        if (s.order[k].first == s.order[k - 1].first) {
+            s.prevSame[s.order[k].second] = s.order[k - 1].second;
         }
     }
-    applyBatchChunk(requests.subspan(begin));
+    std::size_t begin = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (s.prevSame[i] != SIZE_MAX && s.prevSame[i] >= begin) {
+            applyBatchChunk(requests.subspan(begin, i - begin),
+                            s.outcomes.data() + begin);
+            begin = i;
+        }
+    }
+    applyBatchChunk(requests.subspan(begin), s.outcomes.data() + begin);
     obs::flightRecorderRecord(obs::FlightEventKind::WriteBatch, 0, 0,
-                              requests.size());
-    return {s.outcomes.data(), s.outcomes.size()};
+                              n);
+    return {s.outcomes.data(), n};
 }
 
 void
-MemorySystem::applyBatchChunk(std::span<const WriteRequest> chunk)
+MemorySystem::applyBatchChunk(std::span<const WriteRequest> chunk,
+                              WriteOutcome *outcomes)
 {
     BatchScratch &s = scratch_;
     const std::size_t n = chunk.size();
 
-    // Phase 1: install every line and collect its pad plan. Installs
-    // charge nothing and each line's plan depends only on its own
-    // state, so hoisting them ahead of the commits changes no result.
+    // Phase 1: install every line, then collect its pad plan.
+    // Installs charge nothing and each line's plan depends only on its
+    // own state, so hoisting them ahead of the commits changes no
+    // result.
     s.states.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        s.states[i] = &install(chunk[i].lineAddr);
+    }
     s.padOffsets.resize(n + 1);
     s.padReqs.resize(4 * kMaxWritePadLines * n);
     unsigned pad_total = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        StoredLineState &state = install(chunk[i].lineAddr);
-        s.states[i] = &state;
         s.padOffsets[i] = pad_total;
-        pad_total += scheme_.planWritePads(
-            chunk[i].lineAddr, state, s.padReqs.data() + 4 * pad_total);
+        pad_total += planWrite(scheme_, chunk[i].lineAddr, *s.states[i],
+                               s.padReqs.data() + 4 * pad_total);
     }
     s.padOffsets[n] = pad_total;
 
-    // Phase 2: one pad stream for the whole chunk, then assemble the
-    // 16-byte blocks into 64-byte line pads (block b at bytes
-    // 16b..16b+15, exactly padForLine()'s layout).
+    // Phase 2: one pad stream for the whole chunk, assembled into
+    // 64-byte line pads.
     s.pads.resize(4 * pad_total);
     scheme_.generatePads(s.padReqs.data(), s.pads.data(), 4 * pad_total);
     s.linePads.resize(pad_total);
-    for (unsigned p = 0; p < pad_total; ++p) {
-        s.linePads[p] = CacheLine::fromBytes(s.pads[4 * p].data());
-    }
+    assembleLinePads(s.pads.data(), pad_total, s.linePads.data());
 
-    // Phase 3: commit in request order — the exact per-write step
-    // sequence of write(), with the wear landing deferred (wear is
-    // integer-exact and commutative) to one cross-line batch below.
+    // Phase 3: commit in request order, with the wear landing deferred
+    // (wear is integer-exact and commutative) to one cross-line batch
+    // below.
     s.physDiffs.resize(n);
     s.metaDiffs.resize(n);
     s.cosetDiffs.resize(n);
@@ -245,11 +199,17 @@ MemorySystem::applyBatchChunk(std::span<const WriteRequest> chunk)
         const uint64_t addr = chunk[i].lineAddr;
         StoredLineState &state = *s.states[i];
 
+        // Vertical wear leveling advances on demand writes. The gap
+        // copy itself rewrites one line at its new rotation; its (~1%
+        // of traffic) flip cost is the classic Start-Gap overhead and
+        // is not charged to the scheme under study, matching the
+        // paper.
         if (vwl_) {
             vwl_->onWrite();
         }
 
-        WriteOutcome outcome;
+        WriteOutcome &outcome = outcomes[i];
+        outcome = WriteOutcome{};
         outcome.result = scheme_.writeWithPads(
             addr, chunk[i].data, state,
             s.linePads.data() + s.padOffsets[i]);
@@ -257,6 +217,9 @@ MemorySystem::applyBatchChunk(std::span<const WriteRequest> chunk)
         unsigned rotation = rotation_->rotationFor(addr);
         rotation_->onWrite(addr);
 
+        // The fault domain sees the same physical view as the wear
+        // tracker: the HWL rotation decides which cells the flips land
+        // on and which cells the image occupies.
         unsigned rot = rotation % CacheLine::kBits;
         const CacheLine phys = rot ? outcome.result.dataDiff.rotl(rot)
                                    : outcome.result.dataDiff;
@@ -293,7 +256,6 @@ MemorySystem::applyBatchChunk(std::span<const WriteRequest> chunk)
                 static_cast<unsigned>(t.criticalMetaWrites);
             counters_.notePersist(t.metaReads, t.metaWrites);
         }
-        s.outcomes.push_back(outcome);
     }
 
     counters_.noteWearBatch(s.physDiffs.data(), s.metaDiffs.data(), n,

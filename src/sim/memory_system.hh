@@ -23,7 +23,7 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/cache_line.hh"
@@ -148,7 +148,10 @@ class MemorySystem
     MemorySystem &operator=(const MemorySystem &) = delete;
     MemorySystem &operator=(MemorySystem &&) = delete;
 
-    /** Write back a line (installing it first if never seen). */
+    /**
+     * Write back a line (installing it first if never seen): the
+     * writeBatch() pipeline over one request.
+     */
     WriteOutcome write(uint64_t line_addr, const CacheLine &plaintext);
 
     /**
@@ -160,10 +163,10 @@ class MemorySystem
      *
      * Bit-identical to calling write() per request, in order — same
      * outcomes, same stored states, same counter signature — for
-     * every scheme: schemes whose pads depend on the incoming data
-     * (no supportsBatchedWrites()) transparently take the sequential
-     * path, and a repeated address splits the burst so later writes
-     * plan against post-write state.
+     * every scheme: a repeated address splits the burst so later
+     * writes plan against post-write state. Schemes whose pads depend
+     * on the incoming data plan none and generate them inside their
+     * write body.
      *
      * The returned span lives in a per-system arena reused by the
      * next writeBatch() call — consume it before then.
@@ -292,8 +295,14 @@ class MemorySystem
   private:
     StoredLineState &install(uint64_t line_addr);
 
-    /** One duplicate-free slice of a batch, scheme batch-capable. */
-    void applyBatchChunk(std::span<const WriteRequest> chunk);
+    /**
+     * The one write step: plan, generate and commit one
+     * duplicate-free slice of a batch (vwl, scheme, rotation, fault,
+     * slots, MLC, counters, flight event, persist, wear), writing one
+     * outcome per request to @p outcomes.
+     */
+    void applyBatchChunk(std::span<const WriteRequest> chunk,
+                         WriteOutcome *outcomes);
 
     /**
      * MLC2 accounting of one committed write: build the physical
@@ -323,7 +332,10 @@ class MemorySystem
         std::vector<uint64_t> metaDiffs;
         std::vector<uint64_t> cosetDiffs;
         std::vector<WriteOutcome> outcomes;
-        std::unordered_set<uint64_t> seen;
+        /** (address, request index), sorted: the duplicate split. */
+        std::vector<std::pair<uint64_t, std::size_t>> order;
+        /** Index of the previous request to the same address. */
+        std::vector<std::size_t> prevSame;
     };
 
     const EncryptionScheme &scheme_;

@@ -304,6 +304,49 @@ TEST_F(DeuceTest, PadUniquenessInvariant)
     }
 }
 
+TEST_F(DeuceTest, PlansThreeDistinctPadsAcrossAnEpoch)
+{
+    // Every write plans [LCTR(c), TCTR(c), LCTR(c+1)] and nothing
+    // else: mid-epoch TCTR(c+1) == TCTR(c), and an epoch-start write
+    // re-encrypts the whole line under LCTR(c+1). Run past two epoch
+    // boundaries, checking the plan, the pads a write() generates and
+    // the round trip.
+    const unsigned epoch = 8;
+    Deuce deuce(*otp_, DeuceConfig{2, epoch, false, 16});
+    Rng rng(41);
+    const uint64_t addr = 5;
+    CacheLine plain = randomLine(rng);
+    StoredLineState state;
+    deuce.install(addr, plain, state);
+
+    for (unsigned i = 0; i < 2 * epoch + 1; ++i) {
+        LinePadRequest reqs[4 * kMaxWritePadLines];
+        ASSERT_EQ(deuce.planWritePads(addr, state, reqs), 3u);
+        const uint64_t c = state.counter;
+        const uint64_t planned[3] = {c, deuce.trailingCounter(c), c + 1};
+        for (unsigned p = 0; p < 3; ++p) {
+            for (unsigned b = 0; b < 4; ++b) {
+                EXPECT_EQ(reqs[4 * p + b].lineAddr, addr);
+                EXPECT_EQ(reqs[4 * p + b].counter, planned[p]);
+                EXPECT_EQ(reqs[4 * p + b].block, b);
+            }
+        }
+        if (!deuce.isEpochStart(c + 1)) {
+            EXPECT_EQ(deuce.trailingCounter(c + 1),
+                      deuce.trailingCounter(c));
+        }
+
+        plain = withModifiedWord(plain, rng.nextBounded(32), 16,
+                                 rng.next());
+        uint64_t pads_before = otp_->padsGenerated();
+        deuce.write(addr, plain, state);
+        EXPECT_EQ(otp_->padsGenerated() - pads_before, 12u)
+            << "write " << i;
+        ASSERT_EQ(deuce.read(addr, state), plain) << "write " << i;
+    }
+    EXPECT_EQ(state.counter, 2 * epoch + 1);
+}
+
 /** Parameterised over (word bytes, epoch): behaviour invariants. */
 class DeuceParamTest
     : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>

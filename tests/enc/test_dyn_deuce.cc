@@ -196,5 +196,47 @@ TEST_F(DynDeuceTest, SparseTrafficMatchesDeuceCost)
     EXPECT_NEAR(dyn_total / deuce_total, 1.0, 0.05);
 }
 
+TEST_F(DynDeuceTest, PlansOneOrThreePadsAcrossAnEpoch)
+{
+    // Epoch-start and FNW-mode writes plan the fresh pad alone; a
+    // mid-epoch DEUCE-mode write plans DEUCE's three, the FNW
+    // candidate reusing LCTR(c+1). Dense writes morph the line, so
+    // one epoch covers all three cases.
+    const unsigned epoch = 8;
+    DynDeuce dyn(*otp_, 2, epoch);
+    Rng rng(43);
+    const uint64_t addr = 6;
+    CacheLine plain = randomLine(rng);
+    StoredLineState state;
+    dyn.install(addr, plain, state);
+
+    bool saw[3] = {}; // epoch start, FNW mode, DEUCE mode
+    for (unsigned i = 0; i < 2 * epoch + 1; ++i) {
+        LinePadRequest reqs[4 * kMaxWritePadLines];
+        unsigned n = dyn.planWritePads(addr, state, reqs);
+        const uint64_t c = state.counter;
+        const bool epoch_start = (c + 1) % epoch == 0;
+        if (epoch_start || state.modeBit) {
+            saw[epoch_start ? 0 : 1] = true;
+            ASSERT_EQ(n, 1u) << "write " << i;
+            EXPECT_EQ(reqs[0].counter, c + 1);
+        } else {
+            saw[2] = true;
+            ASSERT_EQ(n, 3u) << "write " << i;
+            EXPECT_EQ(reqs[0].counter, c);
+            EXPECT_EQ(reqs[4].counter, c & ~uint64_t{epoch - 1});
+            EXPECT_EQ(reqs[8].counter, c + 1);
+        }
+
+        plain = randomLine(rng);
+        uint64_t pads_before = otp_->padsGenerated();
+        dyn.write(addr, plain, state);
+        EXPECT_EQ(otp_->padsGenerated() - pads_before, 4u * n)
+            << "write " << i;
+        ASSERT_EQ(dyn.read(addr, state), plain) << "write " << i;
+    }
+    EXPECT_TRUE(saw[0] && saw[1] && saw[2]);
+}
+
 } // namespace
 } // namespace deuce

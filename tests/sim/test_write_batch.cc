@@ -3,19 +3,24 @@
  * Bit-identity tests for the batched write pipeline: for every scheme
  * and batch size, MemorySystem::writeBatch must produce exactly the
  * same outcomes, stored states, and counter signature as the same
- * trace replayed one write() at a time.
+ * trace replayed one write() at a time, and both must reproduce a
+ * table of digests pinned independently of the current write body.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/cache_line.hh"
 #include "common/rng.hh"
+#include "crypto/key_domain.hh"
 #include "crypto/otp_engine.hh"
 #include "enc/scheme_factory.hh"
+#include "serve/tenant_scheme.hh"
 #include "sim/memory_system.hh"
 
 namespace deuce
@@ -76,23 +81,38 @@ makeTrace(unsigned writes, unsigned pool, uint64_t seed)
 struct Fixture
 {
     std::unique_ptr<OtpEngine> otp;
+    std::unique_ptr<TenantKeyTable> keys;
     std::unique_ptr<EncryptionScheme> scheme;
     std::unique_ptr<MemorySystem> system;
 
+    /**
+     * @param tenants 0 for a bare scheme over one engine; otherwise a
+     *                serve::TenantScheme over that many key domains
+     *                (tenant-local address field kTenantAddrBits wide)
+     */
     Fixture(const std::string &scheme_id, bool fast,
             const WearLevelingConfig &wl, const FaultConfig &fault,
             const PersistConfig &persist,
-            const PcmConfig &pcm = PcmConfig{})
+            const PcmConfig &pcm = PcmConfig{}, unsigned tenants = 0)
     {
-        if (fast) {
-            otp = std::make_unique<FastOtpEngine>(0xfeed);
+        if (tenants > 0) {
+            keys = std::make_unique<TenantKeyTable>(0xfeed, tenants,
+                                                    fast);
+            scheme = std::make_unique<serve::TenantScheme>(
+                *keys, scheme_id, kTenantAddrBits);
         } else {
-            otp = makeAesOtpEngine(0xfeed);
+            if (fast) {
+                otp = std::make_unique<FastOtpEngine>(0xfeed);
+            } else {
+                otp = makeAesOtpEngine(0xfeed);
+            }
+            scheme = makeScheme(scheme_id, *otp);
         }
-        scheme = makeScheme(scheme_id, *otp);
         system = std::make_unique<MemorySystem>(
             *scheme, wl, pcm, initialContents, fault, persist);
     }
+
+    static constexpr unsigned kTenantAddrBits = 8;
 };
 
 void
@@ -342,6 +362,170 @@ TEST(WriteBatch, SingleRequestBatchMatchesWrite)
     }
     EXPECT_EQ(seq.system->counters().deterministicSignature(),
               bat.system->counters().deterministicSignature());
+}
+
+/** FNV-1a over @p n bytes, chained from @p h. */
+uint64_t
+fnv1a(uint64_t h, const void *bytes, std::size_t n)
+{
+    const auto *p = static_cast<const unsigned char *>(bytes);
+    for (std::size_t i = 0; i < n; ++i) {
+        h = (h ^ p[i]) * 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** FNV-1a over the 8 little-endian bytes of @p v (host-independent). */
+uint64_t
+fnv1aWord(uint64_t h, uint64_t v)
+{
+    for (unsigned i = 0; i < 8; ++i) {
+        h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+    }
+    return h;
+}
+
+uint64_t
+fnv1aLine(uint64_t h, const CacheLine &line)
+{
+    for (unsigned i = 0; i < CacheLine::kLimbs; ++i) {
+        h = fnv1aWord(h, line.limb(i));
+    }
+    return h;
+}
+
+/**
+ * Replay the pinned trace through one system — one write() at a time
+ * for @p batch == 1, writeBatch() bursts of @p batch otherwise — and
+ * digest every outcome, the counter signature, every stored state and
+ * every read-back. With @p tenants > 0 the lines alternate between
+ * tenants of a serve::TenantScheme.
+ */
+uint64_t
+pinnedReplayDigest(const std::string &scheme_id, bool fast,
+                   unsigned tenants, unsigned batch)
+{
+    constexpr unsigned kPool = 29;
+    std::vector<WriteRequest> trace = makeTrace(400, kPool, 0x5eed);
+    auto globalOf = [tenants](uint64_t addr) {
+        return tenants == 0
+            ? addr
+            : serve::TenantScheme::globalAddr(
+                  static_cast<unsigned>((addr / 3) % tenants), addr,
+                  Fixture::kTenantAddrBits);
+    };
+    for (WriteRequest &w : trace) {
+        w.lineAddr = globalOf(w.lineAddr);
+    }
+
+    Fixture f(scheme_id, fast, WearLevelingConfig{}, FaultConfig{},
+              PersistConfig{}, PcmConfig{}, tenants);
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto digestOutcome = [&h](const WriteOutcome &o) {
+        h = fnv1aLine(h, o.result.dataDiff);
+        h = fnv1aWord(h, o.result.dataFlips);
+        h = fnv1aWord(h, o.result.metaFlips);
+        h = fnv1aWord(h, o.result.modifiedDiff);
+        h = fnv1aWord(h, o.result.flipDiff);
+        h = fnv1aWord(h, o.result.cosetDiff);
+        h = fnv1aWord(h, o.slots);
+        h = fnv1aWord(h, std::bit_cast<uint64_t>(o.writeLatencyNs));
+        h = fnv1aWord(h, std::bit_cast<uint64_t>(o.flipFraction));
+        h = fnv1aWord(h, o.faultCorrectedCells);
+        h = fnv1aWord(h, o.faultUncorrectable);
+        h = fnv1aWord(h, o.persistMetaWrites);
+    };
+    for (std::size_t i = 0; i < trace.size(); i += batch) {
+        if (batch == 1) {
+            digestOutcome(f.system->write(trace[i].lineAddr,
+                                          trace[i].data));
+            continue;
+        }
+        std::size_t n = std::min<std::size_t>(batch, trace.size() - i);
+        for (const WriteOutcome &o : f.system->writeBatch(
+                 std::span<const WriteRequest>(trace.data() + i, n))) {
+            digestOutcome(o);
+        }
+    }
+
+    std::string sig = f.system->counters().deterministicSignature();
+    h = fnv1a(h, sig.data(), sig.size());
+    for (unsigned a = 0; a < kPool; ++a) {
+        uint64_t addr = globalOf(uint64_t{a} * 3 + 1);
+        if (!f.system->contains(addr)) {
+            continue;
+        }
+        const StoredLineState &st = f.system->storedState(addr);
+        h = fnv1aWord(h, addr);
+        h = fnv1aLine(h, st.data);
+        h = fnv1aWord(h, st.counter);
+        for (uint64_t c : st.blockCounters) {
+            h = fnv1aWord(h, c);
+        }
+        h = fnv1aWord(h, st.modifiedBits);
+        h = fnv1aWord(h, st.flipBits);
+        h = fnv1aWord(h, st.modeBit);
+        h = fnv1aWord(h, st.cosetBits);
+        h = fnv1aLine(h, f.system->read(addr));
+    }
+    return h;
+}
+
+TEST(WriteBatch, PinnedDigestsAtBatchOneAndSixtyFour)
+{
+    // Reference results fixed when every scheme still carried an
+    // on-demand write() beside its planned-pad writeWithPads(), so the
+    // single write body is checked against independent numbers, not
+    // against itself. Both batch sizes must reproduce the same digest.
+    struct Pinned
+    {
+        const char *id;
+        bool fast;
+        unsigned tenants;
+        uint64_t digest;
+    };
+    const std::vector<Pinned> table = {
+        {"nodcw", true, 0, 0x6906047bfd53d2e2ull},
+        {"nofnw", true, 0, 0xbe44cbccc28c559eull},
+        {"encr", true, 0, 0xa8baf2e0444f4ed7ull},
+        {"encr-fnw", true, 0, 0x5c14eeecb0cbe83eull},
+        {"ble", true, 0, 0x2e85618d10799b93ull},
+        {"deuce", true, 0, 0x4c18fb4bd472e738ull},
+        {"dyndeuce", true, 0, 0x5aa3f8e738a1958aull},
+        {"deuce-fnw", true, 0, 0xf50eb63889df45b0ull},
+        {"ble-deuce", true, 0, 0x39046577a25f9709ull},
+        {"addrpad", true, 0, 0x885492a799935a64ull},
+        {"invmm", true, 0, 0xab2d00f2d641a054ull},
+        {"perword", true, 0, 0x2bf0fbe9655bac7eull},
+        {"vcc", true, 0, 0x3c2d4ea5ab1b1be8ull},
+        {"vcc-mlc", true, 0, 0xefa341005da901d4ull},
+        {"deuce", true, 2, 0x53b0320e7acbcc35ull},
+        {"ble", true, 2, 0xb74c172d0364716aull},
+        {"deuce", false, 0, 0x1beaa0640d072ab9ull},
+        {"dyndeuce", false, 0, 0x5ceeb8ab2a9e927full},
+        {"vcc", false, 0, 0xb7844428c374ae26ull},
+        {"ble", false, 0, 0x92bcc9773f59679eull},
+    };
+
+    std::vector<std::string> fast_ids = schemesUnderTest();
+    ASSERT_EQ(table.size(), fast_ids.size() + 2 + 4);
+    for (std::size_t i = 0; i < fast_ids.size(); ++i) {
+        EXPECT_EQ(table[i].id, fast_ids[i]);
+        EXPECT_TRUE(table[i].fast);
+        EXPECT_EQ(table[i].tenants, 0u);
+    }
+    for (const Pinned &p : table) {
+        for (unsigned batch : {1u, 64u}) {
+            uint64_t got = pinnedReplayDigest(p.id, p.fast, p.tenants,
+                                              batch);
+            char hex[32];
+            std::snprintf(hex, sizeof(hex), "0x%016llxull",
+                          static_cast<unsigned long long>(got));
+            EXPECT_EQ(got, p.digest)
+                << p.id << (p.fast ? " fast" : " aes") << " tenants="
+                << p.tenants << " batch=" << batch << " got " << hex;
+        }
+    }
 }
 
 } // namespace
