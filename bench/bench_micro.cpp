@@ -55,7 +55,6 @@ BM_AesEncryptBlock(benchmark::State &state, AesBackendKind backend)
     state.SetBytesProcessed(state.iterations() * 16);
 }
 BENCHMARK_CAPTURE(BM_AesEncryptBlock, scalar, AesBackendKind::Scalar);
-BENCHMARK_CAPTURE(BM_AesEncryptBlock, ttable, AesBackendKind::TTable);
 BENCHMARK_CAPTURE(BM_AesEncryptBlock, aesni, AesBackendKind::AesNi);
 
 void
@@ -74,7 +73,6 @@ BM_AesDecryptBlock(benchmark::State &state, AesBackendKind backend)
     state.SetBytesProcessed(state.iterations() * 16);
 }
 BENCHMARK_CAPTURE(BM_AesDecryptBlock, scalar, AesBackendKind::Scalar);
-BENCHMARK_CAPTURE(BM_AesDecryptBlock, ttable, AesBackendKind::TTable);
 BENCHMARK_CAPTURE(BM_AesDecryptBlock, aesni, AesBackendKind::AesNi);
 
 void
@@ -98,7 +96,6 @@ BM_AesEncrypt4(benchmark::State &state, AesBackendKind backend)
     state.SetBytesProcessed(state.iterations() * 64);
 }
 BENCHMARK_CAPTURE(BM_AesEncrypt4, scalar, AesBackendKind::Scalar);
-BENCHMARK_CAPTURE(BM_AesEncrypt4, ttable, AesBackendKind::TTable);
 BENCHMARK_CAPTURE(BM_AesEncrypt4, aesni, AesBackendKind::AesNi);
 
 void
@@ -116,7 +113,6 @@ BM_PadForLine(benchmark::State &state, AesBackendKind backend)
     state.SetBytesProcessed(state.iterations() * 64);
 }
 BENCHMARK_CAPTURE(BM_PadForLine, scalar, AesBackendKind::Scalar);
-BENCHMARK_CAPTURE(BM_PadForLine, ttable, AesBackendKind::TTable);
 BENCHMARK_CAPTURE(BM_PadForLine, aesni, AesBackendKind::AesNi);
 
 void
@@ -168,10 +164,6 @@ BENCHMARK(BM_LinePopcount);
 bool
 skipUnavailable(benchmark::State &state, LineBackendKind backend)
 {
-    if (backend == LineBackendKind::Sse2 && !sse2Available()) {
-        state.SkipWithError("SSE2 unavailable on this host");
-        return true;
-    }
     if (backend == LineBackendKind::Avx2 && !avx2Available()) {
         state.SkipWithError("AVX2 unavailable on this host");
         return true;
@@ -204,7 +196,6 @@ BM_LineXorPopcount(benchmark::State &state, LineBackendKind backend)
     state.SetBytesProcessed(state.iterations() * 2 * 64);
 }
 BENCHMARK_CAPTURE(BM_LineXorPopcount, scalar, LineBackendKind::Scalar);
-BENCHMARK_CAPTURE(BM_LineXorPopcount, sse2, LineBackendKind::Sse2);
 BENCHMARK_CAPTURE(BM_LineXorPopcount, avx2, LineBackendKind::Avx2);
 
 void
@@ -225,7 +216,6 @@ BM_LineDiffInto(benchmark::State &state, LineBackendKind backend)
     state.SetBytesProcessed(state.iterations() * 2 * 64);
 }
 BENCHMARK_CAPTURE(BM_LineDiffInto, scalar, LineBackendKind::Scalar);
-BENCHMARK_CAPTURE(BM_LineDiffInto, sse2, LineBackendKind::Sse2);
 BENCHMARK_CAPTURE(BM_LineDiffInto, avx2, LineBackendKind::Avx2);
 
 void
@@ -247,7 +237,6 @@ BM_LineWordDiffMask(benchmark::State &state, LineBackendKind backend)
     state.SetBytesProcessed(state.iterations() * 2 * 64);
 }
 BENCHMARK_CAPTURE(BM_LineWordDiffMask, scalar, LineBackendKind::Scalar);
-BENCHMARK_CAPTURE(BM_LineWordDiffMask, sse2, LineBackendKind::Sse2);
 BENCHMARK_CAPTURE(BM_LineWordDiffMask, avx2, LineBackendKind::Avx2);
 
 void
@@ -269,7 +258,6 @@ BM_LineRegionPopcounts(benchmark::State &state, LineBackendKind backend)
 }
 BENCHMARK_CAPTURE(BM_LineRegionPopcounts, scalar,
                   LineBackendKind::Scalar);
-BENCHMARK_CAPTURE(BM_LineRegionPopcounts, sse2, LineBackendKind::Sse2);
 BENCHMARK_CAPTURE(BM_LineRegionPopcounts, avx2, LineBackendKind::Avx2);
 
 void
@@ -317,11 +305,6 @@ BM_LineAccumulateFlipsBatch(benchmark::State &state,
 }
 BENCHMARK_CAPTURE(BM_LineAccumulateFlipsBatch, scalar,
                   LineBackendKind::Scalar)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(64);
-BENCHMARK_CAPTURE(BM_LineAccumulateFlipsBatch, sse2,
-                  LineBackendKind::Sse2)
     ->Arg(1)
     ->Arg(4)
     ->Arg(64);

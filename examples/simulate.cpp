@@ -19,12 +19,12 @@
  *   --vwl <startgap|sr>     vertical wear-leveling engine
  *   --fast-otp              hash-based pads instead of AES
  *   --aes-backend <b>       AES implementation: auto (default),
- *                           scalar, ttable, aesni, vaes, or neon
- *                           (falls back with a warning when the host
+ *                           scalar, aesni, vaes, or neon (resolves
+ *                           as auto, with a warning, when the host
  *                           lacks the ISA)
  *   --line-backend <b>      cache-line kernels: auto (default),
- *                           scalar, sse2, avx2, or neon (falls back
- *                           with a warning when the host lacks the
+ *                           scalar, avx2, or neon (resolves as auto,
+ *                           with a warning, when the host lacks the
  *                           ISA)
  *   --batch <n>             writeback burst size for the batched
  *                           write pipeline (default 64; 1 replays
@@ -119,8 +119,8 @@ usage(const char *argv0)
               << " [--bench <name|all>] [--scheme <id[,id...]>]"
                  " [--writebacks <n>] [--timing] [--hwl] [--vwl startgap|sr]"
                  " [--fast-otp]"
-                 " [--aes-backend auto|scalar|ttable|aesni|vaes|neon]"
-                 " [--line-backend auto|scalar|sse2|avx2|neon]"
+                 " [--aes-backend auto|scalar|aesni|vaes|neon]"
+                 " [--line-backend auto|scalar|avx2|neon]"
                  " [--batch <n>]"
                  " [--seed <n>] [--mlp <x>] [--threads <n>]"
                  " [--fault] [--ecp <n>] [--endurance <flips>]"

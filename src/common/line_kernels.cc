@@ -396,14 +396,14 @@ envBackend()
             parseLineBackendName(env);
         if (!parsed) {
             deuce_fatal(std::string("DEUCE_LINE_BACKEND=") + env +
-                        ": expected auto, scalar, sse2, avx2 or neon");
+                        ": expected auto, scalar, avx2 or neon");
         }
         return *parsed;
     }();
     return kind;
 }
 
-/** One-time note when an explicit SIMD request has to degrade. */
+/** One-time note when an explicit SIMD request resolves as Auto. */
 void
 warnUnavailable(const char *wanted, const char *got)
 {
@@ -421,21 +421,9 @@ warnUnavailable(const char *wanted, const char *got)
 } // namespace
 
 bool
-sse2Available()
-{
-    return sse2LineKernelOps() != nullptr;
-}
-
-bool
-avx2Compiled()
-{
-    return avx2LineKernelOps() != nullptr;
-}
-
-bool
 avx2Available()
 {
-    return avx2Compiled() && cpuHasAvx2();
+    return avx2LineKernelOps() != nullptr && cpuHasAvx2();
 }
 
 bool
@@ -449,41 +437,31 @@ neonLineKernelsAvailable()
 LineBackendKind
 resolveLineBackend(LineBackendKind kind)
 {
+    // Auto takes the fastest available backend (avx2 > neon >
+    // scalar); an explicit but unavailable request warns once and
+    // resolves as Auto.
+    LineBackendKind best = avx2Available()
+        ? LineBackendKind::Avx2
+        : neonLineKernelsAvailable() ? LineBackendKind::Neon
+                                     : LineBackendKind::Scalar;
+    bool available = true;
     switch (kind) {
       case LineBackendKind::Auto:
-        if (avx2Available()) {
-            return LineBackendKind::Avx2;
-        }
-        if (sse2Available()) {
-            return LineBackendKind::Sse2;
-        }
-        if (neonLineKernelsAvailable()) {
-            return LineBackendKind::Neon;
-        }
-        return LineBackendKind::Scalar;
+        return best;
       case LineBackendKind::Avx2:
-        if (!avx2Available()) {
-            LineBackendKind fallback = sse2Available()
-                ? LineBackendKind::Sse2 : LineBackendKind::Scalar;
-            warnUnavailable("avx2", lineBackendName(fallback));
-            return fallback;
-        }
-        return kind;
-      case LineBackendKind::Sse2:
-        if (!sse2Available()) {
-            warnUnavailable("sse2", "scalar");
-            return LineBackendKind::Scalar;
-        }
-        return kind;
+        available = avx2Available();
+        break;
       case LineBackendKind::Neon:
-        if (!neonLineKernelsAvailable()) {
-            warnUnavailable("neon", "scalar");
-            return LineBackendKind::Scalar;
-        }
-        return kind;
-      default:
-        return kind;
+        available = neonLineKernelsAvailable();
+        break;
+      case LineBackendKind::Scalar:
+        break;
     }
+    if (!available) {
+        warnUnavailable(lineBackendName(kind), lineBackendName(best));
+        return best;
+    }
+    return kind;
 }
 
 const LineKernelOps *
@@ -492,8 +470,6 @@ lineBackendOps(LineBackendKind kind)
     switch (resolveLineBackend(kind)) {
       case LineBackendKind::Avx2:
         return avx2LineKernelOps();
-      case LineBackendKind::Sse2:
-        return sse2LineKernelOps();
       case LineBackendKind::Neon:
         return neonLineKernelOps();
       case LineBackendKind::Scalar:
@@ -561,9 +537,6 @@ parseLineBackendName(const std::string &name)
     if (name == "scalar") {
         return LineBackendKind::Scalar;
     }
-    if (name == "sse2") {
-        return LineBackendKind::Sse2;
-    }
     if (name == "avx2") {
         return LineBackendKind::Avx2;
     }
@@ -581,8 +554,6 @@ lineBackendName(LineBackendKind kind)
         return "auto";
       case LineBackendKind::Scalar:
         return "scalar";
-      case LineBackendKind::Sse2:
-        return "sse2";
       case LineBackendKind::Avx2:
         return "avx2";
       case LineBackendKind::Neon:
@@ -595,9 +566,6 @@ std::vector<LineBackendKind>
 availableLineBackends()
 {
     std::vector<LineBackendKind> kinds{LineBackendKind::Scalar};
-    if (sse2Available()) {
-        kinds.push_back(LineBackendKind::Sse2);
-    }
     if (avx2Available()) {
         kinds.push_back(LineBackendKind::Avx2);
     }

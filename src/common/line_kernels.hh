@@ -4,16 +4,13 @@
  * CacheLine diff/flip primitives every simulated writeback funnels
  * through.
  *
- * The library ships up to four bit-identical implementations of the
+ * The library ships up to three bit-identical implementations of the
  * fused line primitives (XOR+popcount, per-word diff masks, per-word
  * select, per-region flip counts, wear accumulation, cross-line batch
  * sweeps):
  *
  *  - "scalar"  portable limb-at-a-time reference, extracted from the
  *              historical CacheLine/FNW/DEUCE loops (line_kernels.cc)
- *  - "sse2"    128-bit SWAR popcount + byte-compare masks; built
- *              whenever the target has SSE2 (baseline on x86-64,
- *              line_kernels_sse2.cc)
  *  - "avx2"    256-bit nibble-LUT popcount (vpshufb + vpsadbw); the
  *              only TU compiled with -mavx2 and only dispatched to
  *              when CPUID reports AVX2 (line_kernels_avx2.cc)
@@ -23,10 +20,10 @@
  * Selection order for the active backend: setLineBackend() (the
  * --line-backend CLI flag) > the DEUCE_LINE_BACKEND environment
  * variable > Auto. Auto resolves to the fastest backend the host
- * supports (avx2 > sse2 > neon > scalar); an explicit request for an
- * unavailable backend degrades down the same ladder with a one-time
- * warning, never an error — all backends produce identical results,
- * so a fallback changes wall-clock only. The claim is enforced by the
+ * supports (avx2 > neon > scalar); an explicit request for an
+ * unavailable backend warns once and resolves as Auto, never an
+ * error — all backends produce identical results, so a fallback
+ * changes wall-clock only. The claim is enforced by the
  * backend-differential tests (tests/common/test_line_kernels.cc) and
  * the golden sweep regression (tests/sim/test_sweep_golden.cc).
  */
@@ -46,14 +43,16 @@
 namespace deuce
 {
 
-/** Selectable line-kernel implementations. */
+/**
+ * Selectable line-kernel implementations. The values are pinned (2 is
+ * retired) because parametrized test names print them.
+ */
 enum class LineBackendKind
 {
-    Auto,   ///< resolve to the fastest available backend
-    Scalar, ///< portable limb-at-a-time reference implementation
-    Sse2,   ///< 128-bit SSE2 SWAR implementation
-    Avx2,   ///< 256-bit AVX2 implementation
-    Neon,   ///< 128-bit ARMv8 NEON implementation
+    Auto = 0,   ///< resolve to the fastest available backend
+    Scalar = 1, ///< portable limb-at-a-time reference implementation
+    Avx2 = 3,   ///< 256-bit AVX2 implementation
+    Neon = 4,   ///< 128-bit ARMv8 NEON implementation
 };
 
 /**
@@ -170,12 +169,6 @@ struct LineKernelOps
     }
 };
 
-/** True when the SSE2 TU was compiled for a target with SSE2. */
-bool sse2Available();
-
-/** True when the AVX2 TU was compiled in (CMake DEUCE_AVX2). */
-bool avx2Compiled();
-
 /** True when AVX2 is both compiled in and reported by CPUID. */
 bool avx2Available();
 
@@ -184,8 +177,8 @@ bool neonLineKernelsAvailable();
 
 /**
  * Resolve @p kind to a concrete, available backend: Auto picks the
- * best available; an explicit but unavailable request degrades
- * (avx2 -> sse2 -> scalar) with a one-time stderr note.
+ * best available; an explicit but unavailable request warns once
+ * and resolves as Auto.
  */
 LineBackendKind resolveLineBackend(LineBackendKind kind);
 
@@ -210,8 +203,7 @@ void setLineBackend(LineBackendKind kind);
 LineBackendKind activeLineBackend();
 
 /**
- * Parse "auto"/"scalar"/"sse2"/"avx2"/"neon"; nullopt on anything
- * else.
+ * Parse "auto"/"scalar"/"avx2"/"neon"; nullopt on anything else.
  */
 std::optional<LineBackendKind> parseLineBackendName(
     const std::string &name);
@@ -221,20 +213,13 @@ const char *lineBackendName(LineBackendKind kind);
 
 /**
  * The concrete backends this process can dispatch to (scalar always,
- * sse2/avx2 when available) — what the differential tests and the
+ * avx2/neon when available) — what the differential tests and the
  * per-backend micro benchmarks iterate over.
  */
 std::vector<LineBackendKind> availableLineBackends();
 
 /** Scalar reference ops table (defined in line_kernels.cc). */
 const LineKernelOps *scalarLineKernelOps();
-
-/**
- * The SSE2 ops table, or null when the target lacks SSE2. Defined in
- * line_kernels_sse2.cc (the TU compiles to the null stub on
- * non-SSE2 targets).
- */
-const LineKernelOps *sse2LineKernelOps();
 
 /**
  * The AVX2 ops table, or null when not compiled in. Defined by
@@ -263,8 +248,8 @@ const LineKernelOps &resolveActiveLineOps();
 /**
  * Shared per-word select (line_kernels.cc): each limb's word-mask
  * bits index a table of widened limb masks, then every limb is one
- * AND-OR blend. Every backend's table points here; SSE2 and AVX2
- * lane-mask versions were no faster end to end.
+ * AND-OR blend. Every backend's table points here; lane-mask SIMD
+ * versions were no faster end to end.
  */
 void selectWords(const CacheLine &a, const CacheLine &b,
                  uint64_t word_mask, unsigned word_bits, CacheLine &out);

@@ -3,11 +3,11 @@
  * NEON line-kernel backend (ARMv8). Selected by the DEUCE_NEON CMake
  * option; the flag probe fails on non-ARM toolchains, so this TU is
  * normally only built for aarch64 targets — it still self-guards
- * (like the SSE2 TU) and compiles to a null stub elsewhere.
+ * and compiles to a null stub elsewhere.
  *
  * The vector wins are the byte-popcount kernels (CNT + pairwise
  * widening adds); sub-byte region work delegates to the scalar
- * reference, exactly as the SSE2 backend does. selectByWordMask and
+ * reference. selectByWordMask and
  * accumulateFlipsBatch use the shared portable kernels (the per-word
  * select and the 64-bit-lane positional popcount). All results are
  * bit-identical to the scalar backend.

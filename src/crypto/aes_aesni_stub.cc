@@ -2,8 +2,8 @@
  * @file
  * Stand-in for aes_aesni.cc when the AES-NI TU is not built
  * (DEUCE_AESNI=OFF, a non-x86 target, or a toolchain without -maes).
- * Reporting "no ops" here makes aesniCompiled() false, so dispatch
- * cleanly falls back to the software backends.
+ * Reporting "no ops" here makes aesniAvailable() false, so dispatch
+ * resolves aesni requests as auto.
  */
 
 #include "crypto/aes_backend.hh"

@@ -75,156 +75,97 @@ envBackend()
             parseAesBackendName(env);
         if (!parsed) {
             deuce_fatal(std::string("DEUCE_AES_BACKEND=") + env +
-                        ": expected auto, scalar, ttable, aesni, "
-                        "vaes or neon");
+                        ": expected auto, scalar, aesni, vaes or "
+                        "neon");
         }
         return *parsed;
     }();
     return kind;
 }
 
-/** One-time note when an explicit aesni request has to degrade. */
+/** One-time note when an explicit request resolves as Auto. */
 void
-warnAesniUnavailable()
+warnUnavailable(const char *wanted, const char *got)
 {
     // call_once (rather than an atomic exchange) gives the losing
     // threads a happens-before edge on the winner's fprintf: no
     // thread can proceed while the warning is mid-write.
     static std::once_flag warned;
-    std::call_once(warned, [] {
+    std::call_once(warned, [wanted, got] {
         obs::logEvent(obs::FlightEventKind::Degrade, "aes_backend",
-                      std::string("aesni backend requested but ") +
-                          (aesniCompiled() ? "CPU lacks AES-NI"
-                                           : "not compiled in") +
-                          "; falling back to ttable (results are "
-                          "bit-identical)");
-    });
-}
-
-/** One-time note when an explicit vaes request has to degrade. */
-void
-warnVaesUnavailable()
-{
-    static std::once_flag warned;
-    std::call_once(warned, [] {
-        obs::logEvent(obs::FlightEventKind::Degrade, "aes_backend",
-                      std::string("vaes backend requested but ") +
-                          (vaesCompiled() ? "CPU lacks VAES/AVX-512"
-                                          : "not compiled in") +
-                          "; falling back down the ladder (results "
-                          "are bit-identical)");
-    });
-}
-
-/** One-time note when an explicit neon request has to degrade. */
-void
-warnNeonUnavailable()
-{
-    static std::once_flag warned;
-    std::call_once(warned, [] {
-        obs::logEvent(obs::FlightEventKind::Degrade, "aes_backend",
-                      std::string("neon AES backend requested but ") +
-                          (aesNeonCompiled()
-                               ? "CPU lacks the crypto extensions"
-                               : "not compiled in") +
-                          "; falling back down the ladder (results "
-                          "are bit-identical)");
+                      std::string(wanted) +
+                          " AES backend requested but unavailable on "
+                          "this host; falling back to " +
+                          got + " (results are bit-identical)");
     });
 }
 
 } // namespace
 
 bool
-aesniCompiled()
-{
-    return aesniBackendOps() != nullptr;
-}
-
-bool
 aesniAvailable()
 {
-    return aesniCompiled() && cpuHasAesni();
-}
-
-bool
-vaesCompiled()
-{
-    return vaesBackendOps() != nullptr;
+    return aesniBackendOps() != nullptr && cpuHasAesni();
 }
 
 bool
 vaesAvailable()
 {
-    return vaesCompiled() && cpuHasVaes();
-}
-
-bool
-aesNeonCompiled()
-{
-    return aesNeonBackendOps() != nullptr;
+    return vaesBackendOps() != nullptr && cpuHasVaes();
 }
 
 bool
 aesNeonAvailable()
 {
-    return aesNeonCompiled() && cpuHasNeonAes();
+    return aesNeonBackendOps() != nullptr && cpuHasNeonAes();
 }
 
 AesBackendKind
 resolveAesBackend(AesBackendKind kind)
 {
-    // Availability ladder: vaes > aesni > neon > ttable. An explicit
-    // but unavailable request warns once and re-enters at Auto.
+    // Auto takes the fastest available backend (vaes > aesni > neon >
+    // scalar); an explicit but unavailable request warns once and
+    // resolves as Auto.
+    AesBackendKind best = vaesAvailable()      ? AesBackendKind::Vaes
+                          : aesniAvailable()   ? AesBackendKind::AesNi
+                          : aesNeonAvailable() ? AesBackendKind::Neon
+                                               : AesBackendKind::Scalar;
+    bool available = true;
     switch (kind) {
       case AesBackendKind::Auto:
-        if (vaesAvailable()) {
-            return AesBackendKind::Vaes;
-        }
-        if (aesniAvailable()) {
-            return AesBackendKind::AesNi;
-        }
-        if (aesNeonAvailable()) {
-            return AesBackendKind::Neon;
-        }
-        return AesBackendKind::TTable;
-      case AesBackendKind::Vaes:
-        if (!vaesAvailable()) {
-            warnVaesUnavailable();
-            return resolveAesBackend(AesBackendKind::Auto);
-        }
-        return kind;
+        return best;
       case AesBackendKind::AesNi:
-        if (!aesniAvailable()) {
-            warnAesniUnavailable();
-            return AesBackendKind::TTable;
-        }
-        return kind;
+        available = aesniAvailable();
+        break;
+      case AesBackendKind::Vaes:
+        available = vaesAvailable();
+        break;
       case AesBackendKind::Neon:
-        if (!aesNeonAvailable()) {
-            warnNeonUnavailable();
-            return resolveAesBackend(AesBackendKind::Auto);
-        }
-        return kind;
-      default:
-        return kind;
+        available = aesNeonAvailable();
+        break;
+      case AesBackendKind::Scalar:
+        break;
     }
+    if (!available) {
+        warnUnavailable(aesBackendName(kind), aesBackendName(best));
+        return best;
+    }
+    return kind;
 }
 
 const AesBackendOps *
 aesBackendOps(AesBackendKind kind)
 {
     switch (resolveAesBackend(kind)) {
-      case AesBackendKind::Scalar:
-        return scalarBackendOps();
       case AesBackendKind::AesNi:
         return aesniBackendOps();
       case AesBackendKind::Vaes:
         return vaesBackendOps();
       case AesBackendKind::Neon:
         return aesNeonBackendOps();
-      case AesBackendKind::TTable:
+      case AesBackendKind::Scalar:
       default:
-        return ttableBackendOps();
+        return scalarBackendOps();
     }
 }
 
@@ -253,9 +194,6 @@ parseAesBackendName(const std::string &name)
     if (name == "scalar") {
         return AesBackendKind::Scalar;
     }
-    if (name == "ttable") {
-        return AesBackendKind::TTable;
-    }
     if (name == "aesni") {
         return AesBackendKind::AesNi;
     }
@@ -276,8 +214,6 @@ aesBackendName(AesBackendKind kind)
         return "auto";
       case AesBackendKind::Scalar:
         return "scalar";
-      case AesBackendKind::TTable:
-        return "ttable";
       case AesBackendKind::AesNi:
         return "aesni";
       case AesBackendKind::Vaes:

@@ -2,12 +2,10 @@
  * @file
  * AES backend registry and runtime dispatch.
  *
- * The library ships up to five bit-identical implementations of the
+ * The library ships up to four bit-identical implementations of the
  * FIPS-197 cipher:
  *
  *  - "scalar"  byte-oriented reference (aes.cc)
- *  - "ttable"  4x1KB fused SubBytes+MixColumns tables, rounds of the
- *              four pipelined blocks interleaved (aes_ttable.cc)
  *  - "aesni"   hardware AESENC/AESDEC via x86 AES-NI, compiled in a
  *              separately-flagged TU and only dispatched to when
  *              CPUID reports support (aes_aesni.cc)
@@ -19,10 +17,10 @@
  * Selection order for the default backend: setAesBackend() (the
  * --aes-backend CLI flag) > the DEUCE_AES_BACKEND environment
  * variable > Auto. Auto resolves to the fastest backend the host
- * supports (vaes > aesni > neon > ttable); an explicit request for an
- * unavailable backend falls back down the same ladder with a one-time
- * warning, never an error — all backends produce identical bytes, so
- * a fallback changes wall-clock only.
+ * supports (vaes > aesni > neon > scalar); an explicit request for an
+ * unavailable backend warns once and resolves as Auto, never an
+ * error — all backends produce identical bytes, so a fallback
+ * changes wall-clock only.
  */
 
 #ifndef DEUCE_CRYPTO_AES_BACKEND_HH
@@ -38,15 +36,17 @@ namespace deuce
 
 class Aes128;
 
-/** Selectable AES implementations. */
+/**
+ * Selectable AES implementations. The values are pinned (2 is
+ * retired) because parametrized test names print them.
+ */
 enum class AesBackendKind
 {
-    Auto,   ///< resolve to the fastest available backend
-    Scalar, ///< byte-oriented reference implementation
-    TTable, ///< 32-bit T-table software implementation
-    AesNi,  ///< x86 AES-NI hardware instructions
-    Vaes,   ///< x86 VAES/AVX-512 (512-bit, 4 blocks per instruction)
-    Neon,   ///< ARMv8 AESE/AESMC crypto extensions
+    Auto = 0,   ///< resolve to the fastest available backend
+    Scalar = 1, ///< byte-oriented reference implementation
+    AesNi = 3,  ///< x86 AES-NI hardware instructions
+    Vaes = 4,   ///< x86 VAES/AVX-512 (512-bit, 4 blocks per instruction)
+    Neon = 5,   ///< ARMv8 AESE/AESMC crypto extensions
 };
 
 /**
@@ -83,28 +83,19 @@ struct AesBackendOps
                         uint8_t *out, std::size_t nblocks);
 };
 
-/** True when the AES-NI TU was compiled in (CMake DEUCE_AESNI). */
-bool aesniCompiled();
-
 /** True when AES-NI is both compiled in and reported by CPUID. */
 bool aesniAvailable();
 
-/** True when the VAES TU was compiled in (CMake DEUCE_VAES). */
-bool vaesCompiled();
-
 /** True when VAES+AVX-512 is compiled in and reported by CPUID. */
 bool vaesAvailable();
-
-/** True when the NEON AES TU was compiled in (CMake DEUCE_NEON). */
-bool aesNeonCompiled();
 
 /** True when the ARMv8 crypto extensions are compiled in and present. */
 bool aesNeonAvailable();
 
 /**
  * Resolve @p kind to a concrete, available backend: Auto picks the
- * best available; an explicit but unavailable request degrades
- * (aesni -> ttable) with a one-time stderr note.
+ * best available; an explicit but unavailable request warns once
+ * and resolves as Auto.
  */
 AesBackendKind resolveAesBackend(AesBackendKind kind);
 
@@ -126,8 +117,8 @@ AesBackendKind defaultAesBackend();
 void setAesBackend(AesBackendKind kind);
 
 /**
- * Parse "auto"/"scalar"/"ttable"/"aesni"/"vaes"/"neon"; nullopt on
- * anything else.
+ * Parse "auto"/"scalar"/"aesni"/"vaes"/"neon"; nullopt on anything
+ * else.
  */
 std::optional<AesBackendKind> parseAesBackendName(
     const std::string &name);
@@ -137,9 +128,6 @@ const char *aesBackendName(AesBackendKind kind);
 
 /** Scalar reference ops table (defined in aes.cc). */
 const AesBackendOps *scalarBackendOps();
-
-/** T-table ops table (defined in aes_ttable.cc). */
-const AesBackendOps *ttableBackendOps();
 
 /**
  * The AES-NI ops table, or null when not compiled in. Defined by

@@ -85,8 +85,8 @@ class OtpEngine
      * single batch. Bit-identical to n padForBlock() calls; engines
      * with a pipelined cipher override this to key-schedule once and
      * run the blocks through the pipeline together (AES-NI keeps
-     * four AESENC chains in flight; the T-table backend interleaves
-     * rounds). The default loops over padForBlock().
+     * four AESENC chains in flight, VAES sixteen). The default loops
+     * over padForBlock().
      */
     virtual void padForBlocks(uint64_t line_addr,
                               const PadRequest *requests,
@@ -111,8 +111,8 @@ class OtpEngine
 
     /**
      * Name of the underlying cipher backend for perf attribution
-     * ("scalar"/"ttable"/"aesni", "fast-hash", or "" when the engine
-     * does not report one).
+     * ("scalar"/"aesni"/"vaes"/"neon", "fast-hash", or "" when the
+     * engine does not report one).
      */
     virtual const char *backendName() const { return ""; }
 

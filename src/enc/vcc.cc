@@ -86,21 +86,37 @@ Vcc::wordCost(uint64_t old_word, uint64_t new_word) const
     return cost;
 }
 
-void
-Vcc::genCandidates(uint64_t line_addr, uint64_t counter,
-                   CacheLine *cands) const
+unsigned
+Vcc::planReadPads(uint64_t line_addr, uint64_t counter,
+                  LinePadRequest *requests) const
 {
-    for (unsigned j = 0; j < cfg_.candidates; ++j) {
-        cands[j] = otp_.padForLine(line_addr, virtualCounter(counter, j));
+    const unsigned n = cfg_.candidates;
+    for (unsigned j = 0; j < n; ++j) {
+        planLinePad(requests, j, line_addr, virtualCounter(counter, j));
+        planLinePad(requests, n + j, line_addr,
+                    virtualCounter(trailingCounter(counter), j));
     }
+    planLinePad(requests, 2 * n, line_addr, virtualCounter(counter, n));
+    return 2 * n + 1;
 }
 
-uint64_t
-Vcc::auxPad64(uint64_t line_addr, uint64_t counter) const
+unsigned
+Vcc::planImagePads(uint64_t line_addr, uint64_t counter,
+                   LinePadRequest *requests) const
 {
-    return otp_
-        .padForLine(line_addr, virtualCounter(counter, cfg_.candidates))
-        .limbs()[0];
+    for (unsigned j = 0; j <= cfg_.candidates; ++j) {
+        planLinePad(requests, j, line_addr, virtualCounter(counter, j));
+    }
+    return cfg_.candidates + 1;
+}
+
+void
+Vcc::fetchLinePads(const LinePadRequest *requests, unsigned n,
+                   CacheLine *line_pads) const
+{
+    AesBlock blocks[4 * kMaxWritePadLines];
+    generatePads(requests, blocks, 4 * n);
+    assembleLinePads(blocks, n, line_pads);
 }
 
 unsigned
@@ -221,54 +237,43 @@ Vcc::install(uint64_t line_addr, const CacheLine &plaintext,
     state = StoredLineState{};
     // Counter 0 is an epoch boundary: every word takes a fresh
     // selection, minimized against the fresh (all-zero) cell array.
-    CacheLine cands[kMaxCandidates];
-    genCandidates(line_addr, 0, cands);
-    uint64_t aux = auxPad64(line_addr, 0);
+    LinePadRequest requests[4 * kMaxWritePadLines];
+    CacheLine pads[kMaxWritePadLines];
+    fetchLinePads(requests, planImagePads(line_addr, 0, requests), pads);
 
     CacheLine cipher;
     uint64_t modified = 0;
     uint64_t sel = 0;
-    encryptStep(plaintext, plaintext, CacheLine{}, 0, 0, 0, cands,
-                cipher, modified, sel);
+    encryptStep(plaintext, plaintext, CacheLine{}, 0, 0, 0, pads, cipher,
+                modified, sel);
     state.data = cipher;
     state.modifiedBits = modified;
-    state.cosetBits = (sel ^ aux) & auxMask_;
+    state.cosetBits = (sel ^ pads[cfg_.candidates].limbs()[0]) & auxMask_;
 }
 
 CacheLine
 Vcc::read(uint64_t line_addr, const StoredLineState &state) const
 {
-    CacheLine lctr_cands[kMaxCandidates];
-    CacheLine tctr_cands[kMaxCandidates];
-    genCandidates(line_addr, state.counter, lctr_cands);
-    genCandidates(line_addr, trailingCounter(state.counter), tctr_cands);
-    uint64_t sel =
-        (state.cosetBits ^ auxPad64(line_addr, state.counter)) &
-        auxMask_;
-    return decryptWithPads(state.data, state.modifiedBits, sel,
-                           lctr_cands, tctr_cands);
+    // Both candidate sets and the auxiliary pad in one cipher call.
+    const unsigned n = cfg_.candidates;
+    LinePadRequest requests[4 * kMaxWritePadLines];
+    CacheLine pads[kMaxWritePadLines];
+    fetchLinePads(requests,
+                  planReadPads(line_addr, state.counter, requests), pads);
+    uint64_t sel = (state.cosetBits ^ pads[2 * n].limbs()[0]) & auxMask_;
+    return decryptWithPads(state.data, state.modifiedBits, sel, pads,
+                           pads + n);
 }
 
 unsigned
 Vcc::planWritePads(uint64_t line_addr, const StoredLineState &state,
                    LinePadRequest *requests) const
 {
-    const unsigned n = cfg_.candidates;
-    // Read-back decryption of the current contents...
-    for (unsigned j = 0; j < n; ++j) {
-        planLinePad(requests, j, line_addr,
-                    virtualCounter(state.counter, j));
-        planLinePad(requests, n + j, line_addr,
-                    virtualCounter(trailingCounter(state.counter), j));
-    }
-    planLinePad(requests, 2 * n, line_addr,
-                virtualCounter(state.counter, n));
-    // ...then the new image: candidates and auxiliary pad of c+1.
-    for (unsigned j = 0; j <= n; ++j) {
-        planLinePad(requests, 2 * n + 1 + j, line_addr,
-                    virtualCounter(state.counter + 1, j));
-    }
-    return 3 * n + 2;
+    // Read-back decryption of the current contents, then the new
+    // image: candidates and auxiliary pad of c+1.
+    unsigned n = planReadPads(line_addr, state.counter, requests);
+    return n + planImagePads(line_addr, state.counter + 1,
+                             requests + 4 * n);
 }
 
 void

@@ -143,12 +143,24 @@ class Vcc : public EncryptionScheme
                               const CacheLine *line_pads) const override;
 
   private:
-    /** Generate the N candidate pads of leading counter @p counter. */
-    void genCandidates(uint64_t line_addr, uint64_t counter,
-                       CacheLine *cands) const;
+    /**
+     * Plan the read-back pads of leading counter @p counter: the N
+     * candidates of LCTR(c), the N candidates of TCTR(c) and the
+     * auxiliary pad of c — 2N + 1 line pads.
+     */
+    unsigned planReadPads(uint64_t line_addr, uint64_t counter,
+                          LinePadRequest *requests) const;
 
-    /** Low 64 bits of the auxiliary pad of leading counter @p c. */
-    uint64_t auxPad64(uint64_t line_addr, uint64_t counter) const;
+    /**
+     * Plan the pads of a new image at leading counter @p counter: its
+     * N candidates, then its auxiliary pad — N + 1 line pads.
+     */
+    unsigned planImagePads(uint64_t line_addr, uint64_t counter,
+                           LinePadRequest *requests) const;
+
+    /** Generate @p n planned line pads in one cipher call. */
+    void fetchLinePads(const LinePadRequest *requests, unsigned n,
+                       CacheLine *line_pads) const;
 
     /**
      * Cheapest candidate for one word: index j minimizing

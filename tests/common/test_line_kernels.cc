@@ -418,8 +418,7 @@ TEST(LineBackendRegistry, ParseNamesRoundTrip)
 {
     for (LineBackendKind kind :
          {LineBackendKind::Auto, LineBackendKind::Scalar,
-          LineBackendKind::Sse2, LineBackendKind::Avx2,
-          LineBackendKind::Neon}) {
+          LineBackendKind::Avx2, LineBackendKind::Neon}) {
         auto parsed = parseLineBackendName(lineBackendName(kind));
         ASSERT_TRUE(parsed.has_value());
         EXPECT_EQ(*parsed, kind);
@@ -427,6 +426,8 @@ TEST(LineBackendRegistry, ParseNamesRoundTrip)
     EXPECT_FALSE(parseLineBackendName("").has_value());
     EXPECT_FALSE(parseLineBackendName("avx512").has_value());
     EXPECT_FALSE(parseLineBackendName("SCALAR").has_value());
+    // A removed backend is no longer an accepted name.
+    EXPECT_FALSE(parseLineBackendName("sse2").has_value());
 }
 
 TEST(LineBackendRegistry, ScalarAlwaysAvailable)
@@ -447,8 +448,7 @@ TEST(LineBackendRegistry, ResolutionNeverReturnsAuto)
 {
     for (LineBackendKind kind :
          {LineBackendKind::Auto, LineBackendKind::Scalar,
-          LineBackendKind::Sse2, LineBackendKind::Avx2,
-          LineBackendKind::Neon}) {
+          LineBackendKind::Avx2, LineBackendKind::Neon}) {
         LineBackendKind resolved = resolveLineBackend(kind);
         EXPECT_NE(resolved, LineBackendKind::Auto);
         // Resolution lands on something this host can run.
@@ -456,6 +456,22 @@ TEST(LineBackendRegistry, ResolutionNeverReturnsAuto)
         EXPECT_NE(std::find(backends.begin(), backends.end(),
                             resolved),
                   backends.end());
+    }
+    // An unavailable explicit request resolves as Auto; an available
+    // one is kept.
+    const LineBackendKind best = resolveLineBackend(LineBackendKind::Auto);
+    const struct
+    {
+        LineBackendKind kind;
+        bool available;
+    } explicitRequests[] = {
+        {LineBackendKind::Avx2, avx2Available()},
+        {LineBackendKind::Neon, neonLineKernelsAvailable()},
+    };
+    for (const auto &req : explicitRequests) {
+        EXPECT_EQ(resolveLineBackend(req.kind),
+                  req.available ? req.kind : best)
+            << lineBackendName(req.kind);
     }
 }
 
